@@ -174,15 +174,15 @@ struct SchedStats {
   index_t rows_per_level_med = 0;
   index_t rows_per_level_max = 0;
   double rows_per_level_mean = 0;
-  // Fraction of rows living in levels narrower than the hybrid tuner's
-  // small-level threshold (max(16, 4 × team)) — the share of the sweep the
-  // per-level regime dispatch would pull off the P2P protocol.
+  // Fraction of rows living in levels narrower than the plan's α
+  // (plan.min_level_rows) — the share of the sweep the default regime rule
+  // serializes once it reaches 10 %.
   double small_level_row_frac = 0;
   index_t small_level_rows = 0;  // the threshold the fraction used
   std::vector<std::uint64_t> rows_per_level_hist;  // log2 buckets, trimmed
 };
 
-SchedStats sched_stats(const ExecSchedule& s) {
+SchedStats sched_stats(const ExecSchedule& s, index_t min_level_rows) {
   SchedStats st;
   st.levels = s.num_levels;
   st.deps_total = s.deps_total;
@@ -190,8 +190,7 @@ SchedStats sched_stats(const ExecSchedule& s) {
   st.items = s.num_items();
   st.max_items_per_thread = s.max_items_per_thread();
   st.rows_per_level_mean = s.mean_rows_per_level();
-  st.small_level_rows =
-      std::max<index_t>(16, static_cast<index_t>(4 * std::max(1, s.threads)));
+  st.small_level_rows = min_level_rows;
   st.small_level_row_frac = s.small_level_row_frac(st.small_level_rows);
   if (s.num_levels > 0 &&
       s.level_ptr.size() > static_cast<std::size_t>(s.num_levels)) {
@@ -469,8 +468,11 @@ void collect_stall_profile(MatrixReport& rep, const Factorization& f,
   const auto r = random_vector(a.rows(), 0x0B5);
   std::vector<value_t> z(r.size());
   for (const ExecBackend be : {ExecBackend::kP2P, ExecBackend::kBarrier}) {
+    // The p2p profile keeps the factor's default policy (narrow levels
+    // serialized on deep matrices): the schedules the timings and the
+    // --verify blocks describe.
     Factorization fb = f;
-    set_exec_backend(fb, be);
+    if (be != fb.opts.exec_backend) set_exec_backend(fb, be);
     obs::ExecObs eo;
     fb.opts.exec_obs = &eo;
     SolveWorkspace ws;
@@ -635,8 +637,8 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
     }
 
     Factorization f = ilu_factor(a, opts);
-    tt.fwd = sched_stats(f.fwd);
-    tt.bwd = sched_stats(f.bwd);
+    tt.fwd = sched_stats(f.fwd, f.plan.min_level_rows);
+    tt.bwd = sched_stats(f.bwd, f.plan.min_level_rows);
     if (cfg.verify) {
       // Static happens-before analysis of the exact schedules this row
       // times. Uncached deps closures: verification reads the factor's own

@@ -200,18 +200,24 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
     if (team_size() < s.threads) {
       if (thread_id() == 0) fallback = true;  // sole writer
     } else if (s.hybrid()) {
-      // Hybrid per-level regimes (tune/): contiguous same-tag level
-      // SEGMENTS, a team barrier at every segment entry, the regime's own
-      // protocol inside. Each thread advances its item cursor and publishes
-      // its progress counter across NON-P2P levels too, so P2P consumers in
-      // a later segment never spin on work a barrier or serial level
-      // already finished (their cross-segment waits were pruned to the
-      // regime floor by apply_level_tags — every surviving wait's producer
-      // is in the consumer's own P2P segment).
+      // Hybrid per-level regimes (the default narrow-level rule, or the
+      // tuner): contiguous same-tag level SEGMENTS, a team barrier at every
+      // segment entry, the regime's own protocol inside. Each thread
+      // advances its item cursor and publishes its progress counter across
+      // NON-P2P levels too, so P2P consumers in a later segment never spin
+      // on work a barrier or serial level already finished (their
+      // cross-segment waits were pruned to the regime floor by
+      // apply_level_tags — every surviving wait's producer is in the
+      // consumer's own P2P segment). Instrumented runs emit the same
+      // per-level spans and stall/barrier events as the uniform branches.
       const int t = thread_id();
       const int spin_budget =
           s.spin_budget > 0 ? s.spin_budget : spin_budget_for(s.threads);
       const index_t chunk = s.chunk_rows > 0 ? s.chunk_rows : 1;
+      [[maybe_unused]] obs::TraceBuffer* buf = nullptr;
+      if constexpr (Obs::kOn) {
+        if (obs.tracing()) buf = &obs::TraceSession::instance().buffer();
+      }
       // Items of this thread in level l (the builder's layout re-derived,
       // exactly as the barrier branch re-derives its row slices).
       const auto items_here = [&](index_t l) {
@@ -219,6 +225,47 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
                             s.level_ptr[static_cast<std::size_t>(l)];
         const index_t r = partition_range(lsz, s.threads, t).size();
         return (r + chunk - 1) / chunk;
+      };
+      // Run serial_order[k0, k1) on this thread; false once a row vetoed.
+      const auto run_rows = [&](index_t k0, index_t k1) {
+        for (index_t k = k0; k < k1; ++k) {
+          const index_t row = s.serial_order[static_cast<std::size_t>(k)];
+          if (!exec_row(row_fn, row, t)) {
+            if (abort != nullptr) abort->request(row);
+            return false;
+          }
+        }
+        return true;
+      };
+      // Team barrier with its instrumentation: barrier time attributed to
+      // level `lv`, and a "barrier" event when the crossing stalled.
+      const auto cross_barrier = [&](index_t lv) {
+        if constexpr (Obs::kOn) {
+          const std::int64_t b0 = obs::now_ns();
+          const bool turned =
+              barrier.arrive_and_wait_counted(spin_budget, abort, obs.slot(t));
+          const std::int64_t b1 = obs::now_ns();
+          obs.slot(t).barrier_ns += static_cast<std::uint64_t>(b1 - b0);
+          obs.add_level_wait(t, lv, static_cast<std::uint64_t>(b1 - b0));
+          if (buf != nullptr && b1 - b0 >= kStallSpanNs) {
+            buf->complete("barrier", b0, b1 - b0, lv);
+          }
+          return turned;
+        } else {
+          return barrier.arrive_and_wait(spin_budget, abort);
+        }
+      };
+      // Busy-time attribution and the per-level span of [t0, t1).
+      [[maybe_unused]] const auto level_done = [&](index_t lv, std::int64_t t0,
+                                                   std::int64_t t1) {
+        if constexpr (Obs::kOn) {
+          obs.slot(t).busy_ns += static_cast<std::uint64_t>(t1 - t0);
+          obs.add_level_busy(t, lv, static_cast<std::uint64_t>(t1 - t0));
+          if (buf != nullptr) {
+            buf->begin_at(obs.name(), t0, lv);
+            buf->end_at(obs.name(), t1);
+          }
+        }
       };
       index_t item = s.thread_ptr[static_cast<std::size_t>(t)];
       index_t done = 0;
@@ -234,21 +281,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
         // before it and makes the pre-segment counter publishes visible.
         // An aborted peer never arrives, so nothing past a poisoned
         // segment boundary ever runs.
-        std::int64_t b0 = 0;
-        if constexpr (Obs::kOn) b0 = obs::now_ns();
-        bool turned;
-        if constexpr (Obs::kOn) {
-          turned = barrier.arrive_and_wait_counted(spin_budget, abort,
-                                                   obs.slot(t));
-        } else {
-          turned = barrier.arrive_and_wait(spin_budget, abort);
-        }
-        if constexpr (Obs::kOn) {
-          const std::int64_t b1 = obs::now_ns();
-          obs.slot(t).barrier_ns += static_cast<std::uint64_t>(b1 - b0);
-          obs.add_level_wait(t, l, static_cast<std::uint64_t>(b1 - b0));
-        }
-        if (!turned) break;
+        if (!cross_barrier(l)) break;
         if (watch && abort->aborted()) break;
         if (reg == LevelRegime::kSerial) {
           // Thread 0 runs the whole segment's rows in serial order; the
@@ -258,21 +291,16 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
           // the segment is caught at the next segment-entry barrier (the
           // publishes below cannot be consumed before it).
           if (t == 0) {
-            std::int64_t t0 = 0;
-            if constexpr (Obs::kOn) t0 = obs::now_ns();
-            for (index_t k = s.level_ptr[static_cast<std::size_t>(l)];
-                 k < s.level_ptr[static_cast<std::size_t>(seg_end)]; ++k) {
-              const index_t row = s.serial_order[static_cast<std::size_t>(k)];
-              if (!exec_row(row_fn, row, t)) {
-                if (abort != nullptr) abort->request(row);
-                live = false;
-                break;
-              }
-            }
             if constexpr (Obs::kOn) {
-              const std::int64_t t1 = obs::now_ns();
-              obs.slot(t).busy_ns += static_cast<std::uint64_t>(t1 - t0);
-              obs.add_level_busy(t, l, static_cast<std::uint64_t>(t1 - t0));
+              for (index_t lv = l; lv < seg_end && live; ++lv) {
+                const std::int64_t t0 = obs::now_ns();
+                live = run_rows(s.level_ptr[static_cast<std::size_t>(lv)],
+                                s.level_ptr[static_cast<std::size_t>(lv) + 1]);
+                level_done(lv, t0, obs::now_ns());
+              }
+            } else {
+              live = run_rows(s.level_ptr[static_cast<std::size_t>(l)],
+                              s.level_ptr[static_cast<std::size_t>(seg_end)]);
             }
           }
           for (index_t lv = l; lv < seg_end; ++lv) {
@@ -289,19 +317,8 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
             const Range rr = partition_range(lsz, s.threads, t);
             std::int64_t t0 = 0;
             if constexpr (Obs::kOn) t0 = obs::now_ns();
-            for (index_t k = base + rr.begin; k < base + rr.end; ++k) {
-              const index_t row = s.serial_order[static_cast<std::size_t>(k)];
-              if (!exec_row(row_fn, row, t)) {
-                if (abort != nullptr) abort->request(row);
-                live = false;
-                break;
-              }
-            }
-            if constexpr (Obs::kOn) {
-              const std::int64_t t1 = obs::now_ns();
-              obs.slot(t).busy_ns += static_cast<std::uint64_t>(t1 - t0);
-              obs.add_level_busy(t, lv, static_cast<std::uint64_t>(t1 - t0));
-            }
+            live = run_rows(base + rr.begin, base + rr.end);
+            if constexpr (Obs::kOn) level_done(lv, t0, obs::now_ns());
             if (!live) break;
             const index_t ni = items_here(lv);
             item += ni;
@@ -310,22 +327,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
             // Per-level barrier (except before a segment boundary, where
             // the next segment's entry barrier takes its place).
             if (lv + 1 < seg_end) {
-              bool lvl_turned;
-              if constexpr (Obs::kOn) {
-                const std::int64_t lb0 = obs::now_ns();
-                lvl_turned = barrier.arrive_and_wait_counted(spin_budget,
-                                                             abort, obs.slot(t));
-                const std::int64_t lb1 = obs::now_ns();
-                obs.slot(t).barrier_ns += static_cast<std::uint64_t>(lb1 - lb0);
-                obs.add_level_wait(t, lv, static_cast<std::uint64_t>(lb1 - lb0));
-              } else {
-                lvl_turned = barrier.arrive_and_wait(spin_budget, abort);
-              }
-              if (!lvl_turned) {
-                live = false;
-                break;
-              }
-              if (watch && abort->aborted()) {
+              if (!cross_barrier(lv) || (watch && abort->aborted())) {
                 live = false;
                 break;
               }
@@ -334,13 +336,24 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
         } else {  // LevelRegime::kP2P
           index_t n_items = 0;
           for (index_t lv = l; lv < seg_end; ++lv) n_items += items_here(lv);
+          [[maybe_unused]] index_t span_level = kInvalidIndex;
           for (index_t e = 0; e < n_items; ++e, ++item) {
             if (watch && abort->aborted()) {
               live = false;
               break;
             }
-            std::int64_t w0 = 0;
-            if constexpr (Obs::kOn) w0 = obs::now_ns();
+            [[maybe_unused]] index_t lvl = l;
+            [[maybe_unused]] std::int64_t w0 = 0;
+            if constexpr (Obs::kOn) {
+              lvl = obs.item_level(item);
+              w0 = obs::now_ns();
+              // One span per contiguous run of same-level items.
+              if (buf != nullptr && lvl != span_level) {
+                if (span_level != kInvalidIndex) buf->end_at(obs.name(), w0);
+                buf->begin_at(obs.name(), w0, lvl);
+                span_level = lvl;
+              }
+            }
             for (index_t w = s.wait_ptr[static_cast<std::size_t>(item)];
                  w < s.wait_ptr[static_cast<std::size_t>(item) + 1]; ++w) {
               const int pt = static_cast<int>(
@@ -358,14 +371,16 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
                 break;
               }
             }
+            [[maybe_unused]] std::int64_t w1 = 0;
             if constexpr (Obs::kOn) {
-              const std::int64_t w1 = obs::now_ns();
+              w1 = obs::now_ns();
               obs.slot(t).wait_ns += static_cast<std::uint64_t>(w1 - w0);
-              obs.add_level_wait(t, l, static_cast<std::uint64_t>(w1 - w0));
+              obs.add_level_wait(t, lvl, static_cast<std::uint64_t>(w1 - w0));
+              if (buf != nullptr && w1 - w0 >= kStallSpanNs) {
+                buf->complete("stall", w0, w1 - w0, lvl);
+              }
             }
             if (!live) break;
-            std::int64_t r0 = 0;
-            if constexpr (Obs::kOn) r0 = obs::now_ns();
             for (index_t k = s.item_ptr[static_cast<std::size_t>(item)];
                  k < s.item_ptr[static_cast<std::size_t>(item) + 1]; ++k) {
               const index_t row = s.rows[static_cast<std::size_t>(k)];
@@ -376,13 +391,18 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
               }
             }
             if constexpr (Obs::kOn) {
-              const std::int64_t r1 = obs::now_ns();
-              obs.slot(t).busy_ns += static_cast<std::uint64_t>(r1 - r0);
-              obs.add_level_busy(t, l, static_cast<std::uint64_t>(r1 - r0));
+              const std::int64_t w2 = obs::now_ns();
+              obs.slot(t).busy_ns += static_cast<std::uint64_t>(w2 - w1);
+              obs.add_level_busy(t, lvl, static_cast<std::uint64_t>(w2 - w1));
             }
             if (!live) break;
             ++done;
             progress.publish(t, done);
+          }
+          if constexpr (Obs::kOn) {
+            if (buf != nullptr && span_level != kInvalidIndex) {
+              buf->end_at(obs.name(), obs::now_ns());
+            }
           }
         }
         l = seg_end;

@@ -215,13 +215,26 @@ ExecSchedule retarget(const ExecSchedule& s, const DepsFn& deps, int threads) {
                                        s.serial_order, deps, threads,
                                        s.chunk_rows);
   r.spin_budget = s.spin_budget;
-  if (!s.level_tags.empty()) apply_level_tags(r, s.level_tags);
+  if (!s.level_tags.empty()) apply_level_tags(r, deps, s.level_tags);
   return r;
 }
 
-void apply_level_tags(ExecSchedule& s, std::span<const std::uint8_t> tags) {
+void apply_level_tags(ExecSchedule& s, const DepsFn& deps,
+                      std::span<const std::uint8_t> tags) {
   JAVELIN_CHECK(tags.size() == static_cast<std::size_t>(s.num_levels),
                 "apply_level_tags: one tag per level required");
+  if (s.hybrid()) {
+    // The stored waits were pruned to the OLD regime floors; pruning them
+    // again for new floors would drop waits the new tags do not cover.
+    // Restore the uniform wait lists first (an untagged retarget at the
+    // schedule's own team is bitwise a fresh build). `tags` may alias
+    // s.level_tags, so copy it before the rebuild replaces the schedule.
+    const std::vector<std::uint8_t> keep(tags.begin(), tags.end());
+    s.level_tags.clear();
+    s = retarget(s, deps, s.threads);
+    apply_level_tags(s, deps, keep);
+    return;
+  }
   const auto all_p2p = std::all_of(tags.begin(), tags.end(), [](std::uint8_t b) {
     return b == static_cast<std::uint8_t>(LevelRegime::kP2P);
   });
@@ -278,10 +291,11 @@ void apply_level_tags(ExecSchedule& s, std::span<const std::uint8_t> tags) {
   // per thread, so each thread's item index maps to its level through the
   // same cumulative counts.
   std::vector<index_t> new_ptr(s.wait_ptr.size(), 0);
+  // Grown on demand, not reserved at the uniform size: tagging a deep
+  // schedule keeps a tiny fraction of its waits, and a reserved capacity
+  // would stay allocated with the factor.
   std::vector<index_t> new_thread;
   std::vector<index_t> new_count;
-  new_thread.reserve(s.wait_thread.size());
-  new_count.reserve(s.wait_count.size());
   index_t kept = 0;
   for (int t = 0; t < T; ++t) {
     const auto& own_cum = cum_items[static_cast<std::size_t>(t)];
@@ -305,6 +319,25 @@ void apply_level_tags(ExecSchedule& s, std::span<const std::uint8_t> tags) {
   s.wait_thread = std::move(new_thread);
   s.wait_count = std::move(new_count);
   s.deps_kept = kept;
+}
+
+std::vector<std::uint8_t> narrow_level_tags(const ExecSchedule& s,
+                                            index_t min_level_rows) {
+  if (s.backend != ExecBackend::kP2P || s.threads <= 1 ||
+      s.small_level_row_frac(min_level_rows) < kNarrowRowFracMin) {
+    return {};
+  }
+  std::vector<std::uint8_t> tags(static_cast<std::size_t>(s.num_levels),
+                                 static_cast<std::uint8_t>(LevelRegime::kP2P));
+  for (index_t l = 0; l < s.num_levels; ++l) {
+    if (s.level_ptr[static_cast<std::size_t>(l) + 1] -
+            s.level_ptr[static_cast<std::size_t>(l)] <
+        min_level_rows) {
+      tags[static_cast<std::size_t>(l)] =
+          static_cast<std::uint8_t>(LevelRegime::kSerial);
+    }
+  }
+  return tags;
 }
 
 DepsFn lower_triangular_deps(const CsrMatrix& lu) {

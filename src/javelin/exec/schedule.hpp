@@ -201,7 +201,11 @@ ExecSchedule retarget(const ExecSchedule& s, const DepsFn& deps, int threads);
 
 /// Install per-level regime tags on `s` (size must equal s.num_levels; values
 /// are LevelRegime bytes) and prune every stored wait the tagged regimes'
-/// synchronization already covers. The hybrid executor barriers at each
+/// synchronization already covers. A schedule that already carries tags has
+/// pruned wait lists, so it is first rebuilt untagged from its retained level
+/// structure (`deps` must enumerate the dependencies it was built with) and
+/// the pruning starts from the full uniform waits — re-tagging is as safe as
+/// tagging a fresh build. The hybrid executor barriers at each
 /// same-tag segment entry (and after every kBarrier level), so a consumer in
 /// level lc is guaranteed every item in levels below its regime FLOOR —
 /// lc itself for kBarrier/kSerial levels, the segment's first level for kP2P
@@ -211,7 +215,25 @@ ExecSchedule retarget(const ExecSchedule& s, const DepsFn& deps, int threads);
 /// own P2P segment. An all-kP2P tag vector is normalized to "no tags"
 /// (uniform schedule). Deterministic: retarget() re-applies the tags after
 /// rebuilding, field-for-field identical to tagging a fresh build.
-void apply_level_tags(ExecSchedule& s, std::span<const std::uint8_t> tags);
+void apply_level_tags(ExecSchedule& s, const DepsFn& deps,
+                      std::span<const std::uint8_t> tags);
+
+/// Share of a schedule's rows its narrow levels must hold before
+/// narrow_level_tags tags it. Below it the serial segments would save little
+/// synchronization, and the uniform schedule keeps its uniform-only fast
+/// paths (the single-region fused apply+SpMV).
+inline constexpr double kNarrowRowFracMin = 0.10;
+
+/// The default per-level regime rule (paper §III-B): a level with fewer than
+/// `min_level_rows` rows (the planner's α) is too small to feed a team, so
+/// it runs as a kSerial level; wider levels keep their sparsified P2P waits.
+/// Returns the LevelRegime bytes for apply_level_tags, or an EMPTY vector —
+/// stay uniform — unless `s` is a kP2P schedule of more than one thread whose
+/// narrow levels hold at least kNarrowRowFracMin of its rows. A pure
+/// function of the schedule's shape, shared by ilu_prepare, the tuner's
+/// hybrid candidate and the tests.
+std::vector<std::uint8_t> narrow_level_tags(const ExecSchedule& s,
+                                            index_t min_level_rows);
 
 /// Dependency enumerators of the triangular-factor schedules, exposed so
 /// consumers can retarget without re-deriving them. The returned closures

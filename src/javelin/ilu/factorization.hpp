@@ -205,7 +205,15 @@ const ExecSchedule& runtime_bwd(const Factorization& f, ScheduleCache& cache);
 
 /// Flip every schedule of `f` (and its option block) to `backend` in place —
 /// legal at any time because both backends share one schedule structure
-/// (the bench uses this to race P2P against CSR-LS on one factor).
+/// (the bench uses this to race P2P against CSR-LS on one factor). The
+/// result is UNIFORM: regime tags are dropped, so set_exec_backend(f, kP2P)
+/// pins the paper's pure point-to-point sweeps on a default factor.
 void set_exec_backend(Factorization& f, ExecBackend backend);
+
+/// Install the default per-level regimes on f.fwd and f.bwd:
+/// narrow_level_tags at the plan's α (plan.min_level_rows). A direction the
+/// rule leaves uniform is not touched. ilu_prepare applies this to every
+/// factor; the tuner's hybrid candidate is the same rule.
+void tag_narrow_levels(Factorization& f);
 
 }  // namespace javelin

@@ -60,7 +60,10 @@ struct IluOptions {
   LowerMethod lower_method = LowerMethod::kAuto;
   /// A level is "too small" for the upper stage when it has fewer rows than
   /// this (the sensitivity parameter α of Table III's R-16/24/32 columns).
-  /// <= 0 means "derive from thread count" (2·threads, at least 16).
+  /// <= 0 means "derive from thread count" (2·threads, at least 16). α also
+  /// sets the width below which P2P sweeps serialize a level: ilu_prepare
+  /// tags such levels kSerial (narrow_level_tags) when they hold at least
+  /// 10 % of a sweep's rows.
   index_t min_level_rows = 0;
   /// A trailing level is also moved to the lower stage when its mean row
   /// density exceeds this multiple of the matrix mean ("row density" rule).

@@ -408,6 +408,7 @@ Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts) {
   // preserves it) so every executor branch sees the configured ladder.
   f.fwd.spin_budget = opts.spin_max_pauses;
   f.bwd.spin_budget = opts.spin_max_pauses;
+  tag_narrow_levels(f);
   if (opts.verify_schedules) {
     verify::verify_schedule_or_throw(f.fwd, lower_triangular_deps(f.lu),
                                      "fwd");

@@ -31,6 +31,10 @@ struct TwoStagePlan {
   LevelPattern pattern = LevelPattern::kLowerASymmetric;
   /// Thread count the plan targets.
   int threads = 1;
+  /// Resolved α (IluOptions::min_level_rows): levels narrower than this are
+  /// "too small" — trailing ones move to the lower stage, and the sweeps
+  /// serialize the rest (narrow_level_tags).
+  index_t min_level_rows = 16;
 
   // --- planning statistics (Tables III/IV) --------------------------------
   index_t total_levels = 0;   ///< levels before the split

@@ -28,10 +28,11 @@ TwoStagePlan build_two_stage_plan(const CsrMatrix& s, const IluOptions& opts) {
   plan.total_levels = nlev;
   plan.level_stats = ls.stats();
 
-  const index_t min_rows =
+  plan.min_level_rows =
       opts.min_level_rows > 0
           ? opts.min_level_rows
           : std::max<index_t>(16, 2 * static_cast<index_t>(plan.threads));
+  const index_t min_rows = plan.min_level_rows;
   const double avg_rd = s.row_density();
 
   // Mean row density per level (for the density rule).

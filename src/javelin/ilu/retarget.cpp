@@ -97,10 +97,10 @@ const ExecSchedule& runtime_bwd(const Factorization& f, ScheduleCache& cache) {
 void set_exec_backend(Factorization& f, ExecBackend backend) {
   f.opts.exec_backend = backend;
   // Pinning a backend means UNIFORM execution. A hybrid schedule (regime
-  // tags installed by the autotuner) had the waits its sync points covered
-  // PRUNED, so dropping the tags alone would leave a racy uniform
-  // schedule — rebuild the wait lists too (a tagless retarget at the
-  // schedule's own team is bitwise a fresh build).
+  // tags installed by ilu_prepare's default rule or the autotuner) had the
+  // waits its sync points covered PRUNED, so dropping the tags alone would
+  // leave a racy uniform schedule — rebuild the wait lists too (a tagless
+  // retarget at the schedule's own team is bitwise a fresh build).
   if (f.fwd.hybrid()) {
     f.fwd.level_tags.clear();
     f.fwd = retarget(f.fwd, lower_triangular_deps(f.lu), f.fwd.threads);
@@ -119,6 +119,16 @@ void set_exec_backend(Factorization& f, ExecBackend backend) {
   }
   // The corner schedule stays kBarrier: its levels are tiny and the paper
   // treats the corner as a serial afterthought (§III-B).
+}
+
+void tag_narrow_levels(Factorization& f) {
+  const auto tag = [&](ExecSchedule& s, const DepsFn& deps) {
+    const auto tags = narrow_level_tags(s, f.plan.min_level_rows);
+    if (!tags.empty()) apply_level_tags(s, deps, tags);
+  };
+  tag(f.fwd, lower_triangular_deps(f.lu));
+  tag(f.bwd, upper_triangular_deps(f.lu));
+  f.numeric_cache = ScheduleCache{};
 }
 
 }  // namespace javelin

@@ -60,9 +60,10 @@ void SweepObs::begin(Region kind, const ExecSchedule& s) {
   lvl_busy_.assign(cells, 0);
   lvl_wait_.assign(cells, 0);
 
-  // item -> level map for P2P attribution, rebuilt when the schedule's
-  // identity or shape changes (retarget() changes the item structure).
-  if (s.backend == ExecBackend::kP2P && s.num_items() > 0 &&
+  // item -> level map for P2P attribution (uniform or a hybrid schedule's
+  // P2P segments), rebuilt when the schedule's identity or shape changes
+  // (retarget() changes the item structure).
+  if ((s.backend == ExecBackend::kP2P || s.hybrid()) && s.num_items() > 0 &&
       (cached_sched_ != &s || cached_items_ != s.num_items() ||
        cached_levels_ != s.num_levels || cached_threads_ != s.threads)) {
     row_level_.assign(static_cast<std::size_t>(s.n_total), 0);

@@ -42,12 +42,6 @@ std::vector<std::uint8_t> derive_hybrid_tags(const ExecSchedule& s,
 
 namespace {
 
-index_t resolve_small(const Factorization& f, index_t small) {
-  if (small > 0) return small;
-  return std::max<index_t>(
-      16, static_cast<index_t>(4 * std::max(1, f.plan.threads)));
-}
-
 /// The policy state a candidate mutates — schedules, backend, team override.
 /// Numeric values, plan, permutation and symbolic data never move.
 struct PolicySnapshot {
@@ -70,7 +64,7 @@ void restore_policy(Factorization& f, const PolicySnapshot& s) {
 }
 
 /// Install one candidate on a factor currently holding its pristine policy.
-void apply_candidate(Factorization& f, const TuneCandidate& c, index_t small) {
+void apply_candidate(Factorization& f, const TuneCandidate& c) {
   set_exec_backend(f, c.backend);  // uniform reset (rebuilds pruned waits)
   if (c.chunk_rows > 0 && (f.fwd.chunk_rows != c.chunk_rows ||
                            f.bwd.chunk_rows != c.chunk_rows)) {
@@ -89,15 +83,7 @@ void apply_candidate(Factorization& f, const TuneCandidate& c, index_t small) {
     f.bwd = std::move(nb);
     f.numeric_cache = ScheduleCache{};
   }
-  if (c.hybrid) {
-    const index_t serial_below =
-        std::max<index_t>(2, static_cast<index_t>(c.threads));
-    const auto tf = derive_hybrid_tags(f.fwd, serial_below, small);
-    const auto tb = derive_hybrid_tags(f.bwd, serial_below, small);
-    apply_level_tags(f.fwd, tf);
-    apply_level_tags(f.bwd, tb);
-    f.numeric_cache = ScheduleCache{};
-  }
+  if (c.hybrid) tag_narrow_levels(f);  // the default regime rule
   f.opts.tuned_threads = c.threads;
   if (f.opts.verify_schedules) {
     verify::verify_schedule_or_throw(f.fwd, lower_triangular_deps(f.lu),
@@ -155,7 +141,7 @@ std::vector<TuneCandidate> make_grid(const Factorization& f,
 
 }  // namespace
 
-TuneContext make_context(const Factorization& f, index_t small_level_rows) {
+TuneContext make_context(const Factorization& f) {
   TuneContext ctx;
   ctx.n = f.n();
   ctx.nnz = f.lu.nnz();
@@ -164,7 +150,7 @@ TuneContext make_context(const Factorization& f, index_t small_level_rows) {
   ctx.bwd_levels = f.bwd.num_levels;
   ctx.fwd_mean_rows_per_level = f.fwd.mean_rows_per_level();
   ctx.bwd_mean_rows_per_level = f.bwd.mean_rows_per_level();
-  ctx.small_level_rows = resolve_small(f, small_level_rows);
+  ctx.small_level_rows = f.plan.min_level_rows;
   ctx.fwd_small_row_frac = f.fwd.small_level_row_frac(ctx.small_level_rows);
   ctx.bwd_small_row_frac = f.bwd.small_level_row_frac(ctx.small_level_rows);
   return ctx;
@@ -184,11 +170,16 @@ CostModelFn deterministic_cost_model() {
       const double per_sync =
           c.backend == ExecBackend::kBarrier ? 48.0 : 16.0;
       double sync = levels * per_sync * t;
-      if (c.hybrid) {
-        // Regime tags strip the cross-thread sync of the small levels and
-        // charge one segment-entry barrier per level run instead.
-        const double small =
-            0.5 * (ctx.fwd_small_row_frac + ctx.bwd_small_row_frac);
+      // Regime tags strip the cross-thread sync of the small levels and
+      // charge one segment-entry barrier per level run instead. A direction
+      // whose narrow levels hold under kNarrowRowFracMin of its rows stays
+      // uniform, so hybrid then costs exactly what P2P does.
+      const auto tagged = [](double frac) {
+        return frac >= kNarrowRowFracMin ? frac : 0.0;
+      };
+      const double small = 0.5 * (tagged(ctx.fwd_small_row_frac) +
+                                  tagged(ctx.bwd_small_row_frac));
+      if (c.hybrid && small > 0.0) {
         sync *= 1.0 - 0.75 * small;
         sync += levels;
       }
@@ -207,8 +198,7 @@ CostModelFn deterministic_cost_model() {
 }
 
 TuneReport autotune(Factorization& f, const TuneOptions& topt) {
-  const index_t small = resolve_small(f, topt.small_level_rows);
-  const TuneContext ctx = make_context(f, small);
+  const TuneContext ctx = make_context(f);
   const std::vector<TuneCandidate> grid = make_grid(f, topt);
   const PolicySnapshot snap = snap_policy(f);
   TuneReport rep;
@@ -220,7 +210,7 @@ TuneReport autotune(Factorization& f, const TuneOptions& topt) {
         sec = topt.cost_model(ctx, c);
       } else {
         restore_policy(f, snap);
-        apply_candidate(f, c, small);
+        apply_candidate(f, c);
         sec = measure_candidate(f, topt.reps);
       }
       rep.measured.push_back(TuneMeasurement{c, sec});
@@ -235,7 +225,7 @@ TuneReport autotune(Factorization& f, const TuneOptions& topt) {
     rep.chosen = rep.measured[best].cand;
     rep.chosen_seconds = rep.measured[best].seconds;
     restore_policy(f, snap);
-    apply_candidate(f, rep.chosen, small);
+    apply_candidate(f, rep.chosen);
   } catch (...) {
     restore_policy(f, snap);
     throw;

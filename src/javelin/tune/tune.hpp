@@ -33,8 +33,9 @@
 namespace javelin::tune {
 
 /// One point of the candidate grid. `chunk_rows == 0` keeps the granule the
-/// factor was built with; `hybrid` derives per-level regime tags
-/// (derive_hybrid_tags) on top of the P2P backend.
+/// factor was built with; `hybrid` installs the default per-level regimes
+/// (tag_narrow_levels: levels narrower than the plan's α serialize) on top
+/// of the P2P backend, while a plain P2P candidate runs uniform sweeps.
 struct TuneCandidate {
   ExecBackend backend = ExecBackend::kP2P;
   bool hybrid = false;
@@ -63,10 +64,10 @@ struct TuneContext {
   index_t bwd_levels = 0;
   double fwd_mean_rows_per_level = 0.0;
   double bwd_mean_rows_per_level = 0.0;
-  /// Fraction of rows in levels narrower than the small-level threshold.
+  /// Fraction of rows in levels narrower than the plan's α.
   double fwd_small_row_frac = 0.0;
   double bwd_small_row_frac = 0.0;
-  index_t small_level_rows = 0;  ///< the threshold the fractions used
+  index_t small_level_rows = 0;  ///< the threshold the fractions used (α)
 };
 
 /// Candidate scorer for deterministic-policy mode: lower is better. Must be
@@ -80,9 +81,6 @@ struct TuneOptions {
   int reps = 3;
   /// Widest team to consider; 0 caps at the factor-time plan's width.
   int max_threads = 0;
-  /// "Small level" threshold for the hybrid tags and the context fractions;
-  /// 0 derives 4 × plan threads (at least 16).
-  index_t small_level_rows = 0;
   /// Extra blocking granules to try (0 entries = keep the factor's). Each
   /// granule rebuilds the schedules from the retained level structure.
   std::vector<index_t> chunk_candidates;
@@ -105,22 +103,26 @@ struct TuneReport {
   void export_metrics(obs::MetricsRegistry& reg) const;
 };
 
-/// Per-level regime tags from the level-shape heuristic: levels narrower
-/// than `serial_below` rows serialize (one thread, zero sync), levels below
+/// Three-regime tags from two level-size thresholds: levels narrower than
+/// `serial_below` rows serialize (one thread, zero sync), levels below
 /// `barrier_below` take the one-barrier protocol, wide levels stay on P2P
-/// waits. Returns LevelRegime bytes, one per level of `s`.
+/// waits. Returns LevelRegime bytes, one per level of `s`. Neither the
+/// default nor the tuner uses it (both use narrow_level_tags); it builds the
+/// mixed kBarrier/kSerial/kP2P schedules that exercise every regime of the
+/// hybrid executor.
 std::vector<std::uint8_t> derive_hybrid_tags(const ExecSchedule& s,
                                              index_t serial_below,
                                              index_t barrier_below);
 
-/// Schedule-shape context of `f` (threshold resolved as in TuneOptions).
-TuneContext make_context(const Factorization& f, index_t small_level_rows = 0);
+/// Schedule-shape context of `f` (small levels: narrower than the plan's α).
+TuneContext make_context(const Factorization& f);
 
 /// The shared deterministic cost model: fixed closed-form arithmetic on the
 /// context — work spread over the team plus a per-level synchronization
 /// toll (barrier > P2P), which hybrid tags discount on the small-level row
-/// fraction, and a mild wide-team penalty. Pure and clock-free, so the
-/// chosen policy is a function of the schedule shape alone.
+/// fraction of every direction the default rule tags, and a mild wide-team
+/// penalty. Pure and clock-free, so the chosen policy is a function of the
+/// schedule shape alone.
 CostModelFn deterministic_cost_model();
 
 /// Measure the candidate grid on `f` and pin the winner: the chosen

@@ -650,7 +650,7 @@ VerifyReport verify_retarget(const ExecSchedule& s, const DepsFn& deps,
       build_exec_schedule(s.backend, s.n_total, s.level_ptr, s.serial_order,
                           deps, threads, s.chunk_rows);
   fresh.spin_budget = s.spin_budget;
-  if (!s.level_tags.empty()) apply_level_tags(fresh, s.level_tags);
+  if (!s.level_tags.empty()) apply_level_tags(fresh, deps, s.level_tags);
   const ExecSchedule rt = retarget(s, deps, threads);
   VerifyReport rep = verify_schedule(rt, deps, max_diagnostics);
   Sink sink(rep, max_diagnostics);

@@ -48,6 +48,7 @@ bool schedules_equal(const ExecSchedule& a, const ExecSchedule& b) {
   ok = vec_eq("wait_count", a.wait_count, b.wait_count) && ok;
   ok = vec_eq("level_ptr", a.level_ptr, b.level_ptr) && ok;
   ok = vec_eq("serial_order", a.serial_order, b.serial_order) && ok;
+  ok = vec_eq("level_tags", a.level_tags, b.level_tags) && ok;
   return ok;
 }
 
@@ -79,10 +80,14 @@ void check_retarget_identity(const char* name, const CsrMatrix& a,
   const DepsFn low = lower_triangular_deps(f.lu);
   const DepsFn up = upper_triangular_deps(f.lu);
   for (int T : {1, 2, 4, 8}) {
-    const ExecSchedule fresh_fwd = build_upper_forward_schedule(
+    // The fresh build gets the factor's regime tags (the default narrow-level
+    // rule tags deep matrices), which retarget carries along.
+    ExecSchedule fresh_fwd = build_upper_forward_schedule(
         f.lu, f.plan.upper_level_ptr, backend, T, f.fwd.chunk_rows);
-    const ExecSchedule fresh_bwd =
+    ExecSchedule fresh_bwd =
         build_backward_schedule(f.lu, backend, T, f.bwd.chunk_rows);
+    if (f.fwd.hybrid()) apply_level_tags(fresh_fwd, low, f.fwd.level_tags);
+    if (f.bwd.hybrid()) apply_level_tags(fresh_bwd, up, f.bwd.level_tags);
     CHECK_MSG(schedules_equal(retarget(f.fwd, low, T), fresh_fwd),
               "%s fwd retarget(%d)", name, T);
     CHECK_MSG(schedules_equal(retarget(f.bwd, up, T), fresh_bwd),

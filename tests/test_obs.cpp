@@ -11,7 +11,10 @@
 //     (waits == waits_immediate + waits_stalled, spins >= waits_stalled,
 //     per-thread slots sum to the region total) and their deterministic
 //     components (wait calls per sweep == deps_kept; barrier crossings ==
-//     sweeps × levels × threads) are exact;
+//     sweeps × levels × threads on the uniform barrier backend, sweeps ×
+//     segments × threads on a tagged default factor) are exact;
+//   * a tagged default factor (narrow levels serialized) traces its levels
+//     through the hybrid executor like the uniform branches do;
 //   * MetricsRegistry merges are order-invariant and the schedule-shape
 //     metrics (rows_per_level) are identical across thread counts.
 #include <cstring>
@@ -89,6 +92,51 @@ void check_parity(const CsrMatrix& a, ExecBackend be, int t) {
 
 // --- (b) trace streams are well-formed -----------------------------------
 
+struct TraceScan {
+  bool saw_level_span = false;  ///< a per-level fwd/bwd sweep span
+  bool saw_iter_span = false;   ///< a Krylov iteration span
+};
+
+/// Balanced B/E pairs with per-thread monotone timestamps, and which span
+/// kinds the recorded stream holds.
+TraceScan scan_trace(const obs::TraceSession& ts) {
+  TraceScan scan;
+  for (const auto& [tid, events] : ts.snapshot()) {
+    std::vector<const char*> stack;
+    std::int64_t last_ts = 0;
+    bool first = true;
+    for (const obs::TraceEvent& e : events) {
+      if (e.ph == 'X') continue;  // cross-thread spans carry their own start
+      CHECK_MSG(first || e.ts_ns >= last_ts,
+                "tid %d: non-monotone ts for %s", tid, e.name);
+      first = false;
+      last_ts = e.ts_ns;
+      if (e.ph == 'B') {
+        stack.push_back(e.name);
+        // Per-level sweep spans reuse the region name with the level index
+        // as the argument (the arg-less span of the same name is the region
+        // envelope).
+        if ((std::strcmp(e.name, "fwd") == 0 ||
+             std::strcmp(e.name, "bwd") == 0) &&
+            e.arg != kInvalidIndex) {
+          scan.saw_level_span = true;
+        }
+        if (std::strcmp(e.name, "pcg_iter") == 0) scan.saw_iter_span = true;
+      } else if (e.ph == 'E') {
+        CHECK_MSG(!stack.empty(), "tid %d: E(%s) without B", tid, e.name);
+        if (!stack.empty()) {
+          CHECK_MSG(std::strcmp(stack.back(), e.name) == 0,
+                    "tid %d: E(%s) closes B(%s)", tid, e.name, stack.back());
+          stack.pop_back();
+        }
+      }
+    }
+    CHECK_MSG(stack.empty(), "tid %d: %zu unbalanced B events", tid,
+              stack.size());
+  }
+  return scan;
+}
+
 void check_trace_stream() {
   obs::TraceSession& ts = obs::TraceSession::instance();
   ts.clear();
@@ -119,40 +167,7 @@ void check_trace_stream() {
   ts.disable();
 
   CHECK_MSG(ts.event_count() > 0, "no trace events recorded");
-  bool saw_level_span = false, saw_iter_span = false;
-  for (const auto& [tid, events] : ts.snapshot()) {
-    std::vector<const char*> stack;
-    std::int64_t last_ts = 0;
-    bool first = true;
-    for (const obs::TraceEvent& e : events) {
-      if (e.ph == 'X') continue;  // cross-thread spans carry their own start
-      CHECK_MSG(first || e.ts_ns >= last_ts,
-                "tid %d: non-monotone ts for %s", tid, e.name);
-      first = false;
-      last_ts = e.ts_ns;
-      if (e.ph == 'B') {
-        stack.push_back(e.name);
-        // Per-level sweep spans reuse the region name with the level index
-        // as the argument (the arg-less span of the same name is the region
-        // envelope).
-        if ((std::strcmp(e.name, "fwd") == 0 ||
-             std::strcmp(e.name, "bwd") == 0) &&
-            e.arg != kInvalidIndex) {
-          saw_level_span = true;
-        }
-        if (std::strcmp(e.name, "pcg_iter") == 0) saw_iter_span = true;
-      } else if (e.ph == 'E') {
-        CHECK_MSG(!stack.empty(), "tid %d: E(%s) without B", tid, e.name);
-        if (!stack.empty()) {
-          CHECK_MSG(std::strcmp(stack.back(), e.name) == 0,
-                    "tid %d: E(%s) closes B(%s)", tid, e.name, stack.back());
-          stack.pop_back();
-        }
-      }
-    }
-    CHECK_MSG(stack.empty(), "tid %d: %zu unbalanced B events", tid,
-              stack.size());
-  }
+  const auto [saw_level_span, saw_iter_span] = scan_trace(ts);
   CHECK_MSG(saw_level_span, "no per-level sweep spans recorded");
   CHECK_MSG(saw_iter_span, "no Krylov iteration spans recorded");
 
@@ -177,6 +192,30 @@ void check_trace_stream() {
   ts.clear();
 }
 
+/// A deep matrix whose default factor carries narrow-level regime tags:
+/// the hybrid executor traces its levels like the uniform branches do.
+void check_tagged_trace(const CsrMatrix& deep) {
+  obs::TraceSession& ts = obs::TraceSession::instance();
+  ts.clear();
+  ts.enable();
+  {
+    ThreadCountGuard guard(4);
+    obs::ExecObs eo;
+    IluOptions iopts = base_opts(ExecBackend::kP2P, 4);
+    iopts.exec_obs = &eo;
+    const Factorization f = ilu_factor(deep, iopts);
+    CHECK_MSG(f.fwd.hybrid() && f.bwd.hybrid(), "deep default untagged");
+    const auto r = random_vector(deep.rows(), 0xCAFE);
+    std::vector<value_t> z(r.size());
+    SolveWorkspace ws;
+    ilu_apply(f, r, z, ws);
+  }
+  ts.disable();
+  CHECK_MSG(scan_trace(ts).saw_level_span,
+            "no per-level spans from the hybrid executor");
+  ts.clear();
+}
+
 // --- (c) counter accounting identities -----------------------------------
 
 void check_counter_identities(const CsrMatrix& a, ExecBackend be, int t) {
@@ -186,6 +225,8 @@ void check_counter_identities(const CsrMatrix& a, ExecBackend be, int t) {
   IluOptions iopts = base_opts(be, t);
   iopts.exec_obs = &eo;
   Factorization f = ilu_factor(a, iopts);
+  // The identities below describe the uniform backends: pin them.
+  set_exec_backend(f, be);
   eo.reset();  // keep the sweep arithmetic below to the applies
 
   const auto r = random_vector(a.rows(), 0xB00);
@@ -258,6 +299,61 @@ void check_counter_identities(const CsrMatrix& a, ExecBackend be, int t) {
     CHECK_MSG(st.critical_path_ns <= st.wall_ns * static_cast<std::uint64_t>(
                                                       std::max(1, t)),
               "%s %s t=%d critical path exceeds t*wall", bname, rname, t);
+  }
+}
+
+/// Same-tag level runs of a hybrid schedule (each opens with a barrier).
+std::uint64_t regime_segments(const ExecSchedule& s) {
+  std::uint64_t segs = 0;
+  for (index_t l = 0; l < s.num_levels; ++l) {
+    if (l == 0 || s.level_regime(l) != s.level_regime(l - 1)) ++segs;
+  }
+  return segs;
+}
+
+/// Default (tagged) factor of a deep matrix: every stored wait is called
+/// once per sweep, and every thread crosses each segment-entry barrier once
+/// per sweep (the default rule tags only kSerial/kP2P, so no per-level
+/// barriers).
+void check_tagged_counter_identities(const CsrMatrix& deep, int t) {
+  ThreadCountGuard guard(t);
+  obs::ExecObs eo;
+  IluOptions iopts = base_opts(ExecBackend::kP2P, t);
+  iopts.exec_obs = &eo;
+  const Factorization f = ilu_factor(deep, iopts);
+  CHECK_MSG(f.fwd.hybrid() && f.bwd.hybrid(), "t=%d deep default untagged",
+            t);
+  eo.reset();
+
+  const auto r = random_vector(deep.rows(), 0xB01);
+  std::vector<value_t> z(r.size());
+  SolveWorkspace ws;
+  constexpr std::uint64_t kSweeps = 3;
+  for (std::uint64_t i = 0; i < kSweeps; ++i) ilu_apply(f, r, z, ws);
+
+  for (const obs::Region reg :
+       {obs::Region::kForward, obs::Region::kBackward}) {
+    const obs::ExecStats& st = eo.stats(reg);
+    const obs::WaitCounters& c = st.total;
+    const ExecSchedule& s = reg == obs::Region::kForward ? f.fwd : f.bwd;
+    const char* rname = obs::region_name(reg);
+    CHECK_MSG(st.sweeps == kSweeps, "tagged %s t=%d sweeps", rname, t);
+    CHECK_MSG(c.waits == c.waits_immediate + c.waits_stalled,
+              "tagged %s t=%d waits identity", rname, t);
+    CHECK_MSG(c.waits == kSweeps * static_cast<std::uint64_t>(s.deps_kept),
+              "tagged %s t=%d waits %llu != sweeps*deps_kept", rname, t,
+              static_cast<unsigned long long>(c.waits));
+    const std::uint64_t crossings = kSweeps *
+                                    static_cast<std::uint64_t>(t) *
+                                    regime_segments(s);
+    CHECK_MSG(c.barrier_waits == crossings,
+              "tagged %s t=%d barrier_waits %llu != sweeps*t*segments %llu",
+              rname, t, static_cast<unsigned long long>(c.barrier_waits),
+              static_cast<unsigned long long>(crossings));
+    std::uint64_t rows = 0;
+    for (index_t lr : st.level_rows) rows += static_cast<std::uint64_t>(lr);
+    CHECK_MSG(rows == static_cast<std::uint64_t>(s.num_rows()),
+              "tagged %s t=%d level_rows sum", rname, t);
   }
 }
 
@@ -346,7 +442,10 @@ int main() {
       check_counter_identities(a, be, t);
     }
   }
+  const CsrMatrix deep = gen::long_chain(1200, 10, 4, 3);
+  for (const int t : {2, 4, 8}) check_tagged_counter_identities(deep, t);
   check_trace_stream();
+  check_tagged_trace(deep);
   check_metrics_determinism(a);
   return javelin::test::finish("test_obs");
 }

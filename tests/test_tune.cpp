@@ -81,14 +81,15 @@ void check_policy_parity(const char* name, const char* what,
 }
 
 /// Force a hybrid regime mix on `f` (serial below the team width, barrier
-/// below 4x) and reset the derived caches.
+/// below 4x) and reset the derived caches. The default factor may already
+/// carry narrow-level tags, so this re-tags.
 bool force_hybrid(Factorization& f, int threads) {
   const auto tf = tune::derive_hybrid_tags(
       f.fwd, static_cast<index_t>(threads), static_cast<index_t>(4 * threads));
   const auto tb = tune::derive_hybrid_tags(
       f.bwd, static_cast<index_t>(threads), static_cast<index_t>(4 * threads));
-  apply_level_tags(f.fwd, tf);
-  apply_level_tags(f.bwd, tb);
+  apply_level_tags(f.fwd, lower_triangular_deps(f.lu), tf);
+  apply_level_tags(f.bwd, upper_triangular_deps(f.lu), tb);
   f.numeric_cache = ScheduleCache{};
   return f.fwd.hybrid() || f.bwd.hybrid();
 }

@@ -6,7 +6,8 @@
 //     retarget bitwise-equivalent to a fresh build) — far beyond the thread
 //     counts bitwise-parity tests can afford to execute;
 //   * coverage accounting is exact: waits_total == deps_kept, the
-//     direct/transitive split sums to deps_total, nothing uncovered;
+//     direct/regime/transitive split sums to deps_total (regime coverage
+//     only on tagged default factors), nothing uncovered;
 //   * the mutation self-test: every seeded single-defect mutation
 //     (MutateSchedule) is flagged, with the expected defect class and a
 //     row-precise diagnostic naming the mutated row or a real broken
@@ -82,10 +83,15 @@ void check_matrix_clean(const std::string& name) {
             name.c_str());
   CHECK_MSG(fwd_rep.stats.deps_cross_thread == f.fwd.deps_total,
             "%s fwd deps_total", name.c_str());
+  // Default factors of deep matrices carry narrow-level regime tags, whose
+  // sync points cover the waits they pruned; uniform schedules have none.
   CHECK_MSG(fwd_rep.stats.deps_covered_direct +
+                    fwd_rep.stats.deps_covered_regime +
                     fwd_rep.stats.deps_covered_transitive ==
                 fwd_rep.stats.deps_cross_thread,
             "%s fwd coverage split", name.c_str());
+  CHECK_MSG(f.fwd.hybrid() || fwd_rep.stats.deps_covered_regime == 0,
+            "%s uniform fwd reports regime coverage", name.c_str());
   CHECK_MSG(fwd_rep.stats.deps_uncovered == 0, "%s fwd uncovered",
             name.c_str());
 
@@ -213,7 +219,11 @@ void check_mutations(const std::string& name, int threads, index_t chunk) {
   opts.retarget_oversubscribed = false;
   opts.verify_schedules = false;
   opts.p2p_chunk_rows = chunk;
-  const Factorization f = ilu_prepare(e.matrix, opts);
+  Factorization f = ilu_prepare(e.matrix, opts);
+  // The wait mutations need stored waits; a default factor of a deep matrix
+  // serializes its narrow levels and keeps almost none, so pin the uniform
+  // P2P schedules.
+  set_exec_backend(f, ExecBackend::kP2P);
   const DepsFn low = lower_triangular_deps(f.lu);
   const DepsFn up = upper_triangular_deps(f.lu);
 
@@ -245,7 +255,10 @@ void check_hybrid(const std::string& name, int threads, index_t chunk,
   opts.retarget_oversubscribed = false;
   opts.verify_schedules = false;
   opts.p2p_chunk_rows = chunk;
-  const Factorization f = ilu_prepare(e.matrix, opts);
+  Factorization f = ilu_prepare(e.matrix, opts);
+  // The base is the uniform P2P schedule the tags prune from (the default
+  // factor may already carry narrow-level tags).
+  set_exec_backend(f, ExecBackend::kP2P);
   const DepsFn low = lower_triangular_deps(f.lu);
   const DepsFn up = upper_triangular_deps(f.lu);
 
@@ -257,7 +270,7 @@ void check_hybrid(const std::string& name, int threads, index_t chunk,
     const auto tags = tune::derive_hybrid_tags(
         hyb, /*serial_below=*/static_cast<index_t>(threads),
         /*barrier_below=*/static_cast<index_t>(4 * threads));
-    apply_level_tags(hyb, tags);
+    apply_level_tags(hyb, deps, tags);
     if (!hyb.hybrid()) continue;  // all-P2P tag vector normalized away
 
     CHECK_MSG(hyb.deps_kept <= base.deps_kept, "%s %s tag pruning grew waits",
@@ -345,7 +358,8 @@ void check_structural_edges() {
   opts.num_threads = 4;
   opts.retarget_oversubscribed = false;
   opts.verify_schedules = false;
-  const Factorization f = ilu_prepare(e.matrix, opts);
+  Factorization f = ilu_prepare(e.matrix, opts);
+  set_exec_backend(f, ExecBackend::kP2P);  // uniform: stored waits to cut
   const DepsFn low = lower_triangular_deps(f.lu);
   ExecSchedule bad = f.fwd;
   if (!bad.wait_thread.empty()) {
