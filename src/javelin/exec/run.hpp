@@ -219,7 +219,9 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
         if (obs.tracing()) buf = &obs::TraceSession::instance().buffer();
       }
       // Items of this thread in level l (the builder's layout re-derived,
-      // exactly as the barrier branch re-derives its row slices).
+      // exactly as the barrier branch re-derives its row slices) — for the
+      // per-level publishes of barrier segments; serial and P2P segments
+      // step over their items through the precomputed seg_items.
       const auto items_here = [&](index_t l) {
         const index_t lsz = s.level_ptr[static_cast<std::size_t>(l) + 1] -
                             s.level_ptr[static_cast<std::size_t>(l)];
@@ -267,16 +269,17 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
           }
         }
       };
+      // This thread's item counts before each segment (seg_items row t).
+      const std::size_t n_bounds = s.seg_level_ptr.size();
+      const index_t* seg_base =
+          s.seg_items.data() + static_cast<std::size_t>(t) * n_bounds;
       index_t item = s.thread_ptr[static_cast<std::size_t>(t)];
       index_t done = 0;
       bool live = true;
-      index_t l = 0;
-      while (l < s.num_levels && live) {
+      for (std::size_t seg = 0; seg + 1 < n_bounds && live; ++seg) {
+        const index_t l = s.seg_level_ptr[seg];
+        const index_t seg_end = s.seg_level_ptr[seg + 1];
         const LevelRegime reg = s.level_regime(l);
-        index_t seg_end = l + 1;
-        while (seg_end < s.num_levels && s.level_regime(seg_end) == reg) {
-          ++seg_end;
-        }
         // Segment-entry barrier: orders this segment after everything
         // before it and makes the pre-segment counter publishes visible.
         // An aborted peer never arrives, so nothing past a poisoned
@@ -303,11 +306,8 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
                               s.level_ptr[static_cast<std::size_t>(seg_end)]);
             }
           }
-          for (index_t lv = l; lv < seg_end; ++lv) {
-            const index_t ni = items_here(lv);
-            item += ni;
-            done += ni;
-          }
+          item += seg_base[seg + 1] - done;
+          done = seg_base[seg + 1];
           if (live) progress.publish(t, done);
         } else if (reg == LevelRegime::kBarrier) {
           for (index_t lv = l; lv < seg_end; ++lv) {
@@ -334,8 +334,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
             }
           }
         } else {  // LevelRegime::kP2P
-          index_t n_items = 0;
-          for (index_t lv = l; lv < seg_end; ++lv) n_items += items_here(lv);
+          const index_t n_items = seg_base[seg + 1] - seg_base[seg];
           [[maybe_unused]] index_t span_level = kInvalidIndex;
           for (index_t e = 0; e < n_items; ++e, ++item) {
             if (watch && abort->aborted()) {
@@ -405,7 +404,6 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
             }
           }
         }
-        l = seg_end;
       }
     } else if (s.backend == ExecBackend::kBarrier) {
       const int t = thread_id();

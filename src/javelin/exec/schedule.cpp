@@ -242,6 +242,8 @@ void apply_level_tags(ExecSchedule& s, const DepsFn& deps,
     // Uniform P2P = the untagged schedule; keep the cheap representation so
     // exec_run stays on the plain backend branches.
     s.level_tags.clear();
+    s.seg_level_ptr.clear();
+    s.seg_items.clear();
     return;
   }
   for (std::uint8_t b : tags) {
@@ -319,6 +321,42 @@ void apply_level_tags(ExecSchedule& s, const DepsFn& deps,
   s.wait_thread = std::move(new_thread);
   s.wait_count = std::move(new_count);
   s.deps_kept = kept;
+  build_regime_segments(s, tags, s.seg_level_ptr, s.seg_items);
+}
+
+void build_regime_segments(const ExecSchedule& s,
+                           std::span<const std::uint8_t> tags,
+                           std::vector<index_t>& seg_level_ptr,
+                           std::vector<index_t>& seg_items) {
+  seg_level_ptr.clear();
+  seg_items.clear();
+  if (tags.empty()) return;
+  const index_t L = s.num_levels;
+  for (index_t l = 0; l < L; ++l) {
+    if (l == 0 || tags[static_cast<std::size_t>(l)] !=
+                      tags[static_cast<std::size_t>(l) - 1]) {
+      seg_level_ptr.push_back(l);
+    }
+  }
+  seg_level_ptr.push_back(L);
+  // Per-thread item counts follow the builder's layout: a (level, thread)
+  // slice of r rows forms ceil(r / chunk) items.
+  const std::size_t S1 = seg_level_ptr.size();
+  const index_t chunk = std::max<index_t>(1, s.chunk_rows);
+  seg_items.assign(static_cast<std::size_t>(s.threads) * S1, 0);
+  for (int t = 0; t < s.threads; ++t) {
+    index_t* cum = seg_items.data() + static_cast<std::size_t>(t) * S1;
+    for (std::size_t k = 0; k + 1 < S1; ++k) {
+      index_t items = cum[k];
+      for (index_t l = seg_level_ptr[k]; l < seg_level_ptr[k + 1]; ++l) {
+        const index_t lsz = s.level_ptr[static_cast<std::size_t>(l) + 1] -
+                            s.level_ptr[static_cast<std::size_t>(l)];
+        const index_t r = partition_range(lsz, s.threads, t).size();
+        items += (r + chunk - 1) / chunk;
+      }
+      cum[k + 1] = items;
+    }
+  }
 }
 
 std::vector<std::uint8_t> narrow_level_tags(const ExecSchedule& s,

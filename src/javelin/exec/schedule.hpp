@@ -80,6 +80,14 @@ struct ExecSchedule {
   /// same-tag level SEGMENTS, a team barrier at every segment entry, the
   /// regime's own protocol inside.
   std::vector<std::uint8_t> level_tags;
+  /// Segment layout of a hybrid schedule, derived from level_tags by
+  /// apply_level_tags (empty when untagged): segment k covers levels
+  /// [seg_level_ptr[k], seg_level_ptr[k+1]), and thread t owns
+  /// seg_items[t * seg_level_ptr.size() + k] items in the levels before
+  /// segment k. The executor steps over a segment's items in O(1) instead
+  /// of re-deriving every level's slices on every sweep.
+  std::vector<index_t> seg_level_ptr;
+  std::vector<index_t> seg_items;
 
   /// Spin-wait escalation budget: pause-loop iterations before a wait
   /// (counter spin, level barrier) starts yielding the CPU. 0 derives the
@@ -217,6 +225,15 @@ ExecSchedule retarget(const ExecSchedule& s, const DepsFn& deps, int threads);
 /// rebuilding, field-for-field identical to tagging a fresh build.
 void apply_level_tags(ExecSchedule& s, const DepsFn& deps,
                       std::span<const std::uint8_t> tags);
+
+/// The segment layout (ExecSchedule::seg_level_ptr / seg_items) that `tags`
+/// — one valid LevelRegime byte per level of `s`, or none — imply for the
+/// level structure, team and granule of `s`. apply_level_tags installs it;
+/// the verifier re-derives it to check a stored layout.
+void build_regime_segments(const ExecSchedule& s,
+                           std::span<const std::uint8_t> tags,
+                           std::vector<index_t>& seg_level_ptr,
+                           std::vector<index_t>& seg_items);
 
 /// Share of a schedule's rows its narrow levels must hold before
 /// narrow_level_tags tags it. Below it the serial segments would save little

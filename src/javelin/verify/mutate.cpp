@@ -277,6 +277,10 @@ MutationResult apply_mutation(ExecSchedule& s, Mutation m, const DepsFn& deps,
         ExecSchedule cand = s;
         cand.level_tags[uz(l)] =
             static_cast<std::uint8_t>(LevelRegime::kP2P);
+        // Keep the segment layout consistent with the edited tags, so the
+        // only defect is the orphaned pruned waits.
+        build_regime_segments(cand, cand.level_tags, cand.seg_level_ptr,
+                              cand.seg_items);
         const VerifyReport rep = verify_schedule(cand, deps);
         if (!rep.ok() &&
             grab_rows(rep,

@@ -189,6 +189,17 @@ VerifyReport verify_schedule(const ExecSchedule& s, const DepsFn& deps,
       }
     }
   }
+  if (hybrid && s.num_levels == n_levels) {
+    // The executor walks the stored segment layout, not the tags: it must
+    // be exactly the one the tags imply.
+    std::vector<index_t> seg_level_ptr, seg_items;
+    build_regime_segments(s, s.level_tags, seg_level_ptr, seg_items);
+    if (seg_level_ptr != s.seg_level_ptr || seg_items != s.seg_items) {
+      sink.add(DiagKind::kRegimeTag, kInvalidIndex, kInvalidIndex, -1, -1,
+               kInvalidIndex, kInvalidIndex,
+               "segment layout disagrees with level_tags");
+    }
+  }
   for (index_t k = 0; k < n_rows; ++k) {
     const index_t r = s.rows[uz(k)];
     if (r < 0 || r >= s.n_total) {
@@ -673,6 +684,8 @@ VerifyReport verify_retarget(const ExecSchedule& s, const DepsFn& deps,
   if (rt.level_ptr != fresh.level_ptr) mismatch("level_ptr");
   if (rt.serial_order != fresh.serial_order) mismatch("serial_order");
   if (rt.level_tags != fresh.level_tags) mismatch("level_tags");
+  if (rt.seg_level_ptr != fresh.seg_level_ptr) mismatch("seg_level_ptr");
+  if (rt.seg_items != fresh.seg_items) mismatch("seg_items");
   if (rt.spin_budget != fresh.spin_budget) mismatch("spin_budget");
   if (rt.deps_total != fresh.deps_total) mismatch("deps_total");
   if (rt.deps_kept != fresh.deps_kept) mismatch("deps_kept");

@@ -41,7 +41,8 @@
 // proven covered (deps_covered_regime) rather than misreported as races —
 // and a tag edit that orphans a pruned wait IS reported (kUncoveredDependency
 // or kDeadlock). Malformed tag vectors are kRegimeTag and analyzed as
-// uniform.
+// uniform; a stored segment layout (seg_level_ptr / seg_items, which the
+// executor walks) that disagrees with the tags is kRegimeTag as well.
 //
 // Diagnostics are structured (ScheduleDiagnostic: consumer row, producer
 // row, threads, level, item) so tests can assert row-precise detection and
@@ -67,7 +68,7 @@ enum class DiagKind {
   kUncoveredDependency,  ///< cross-thread RAW dep with no happens-before edge
   kRetargetMismatch,     ///< retarget(s, deps, T) differs from a fresh build
   kStatsMismatch,        ///< stored deps_total/deps_kept/num_levels stale
-  kRegimeTag,            ///< level_tags wrong length or unknown regime value
+  kRegimeTag,            ///< level_tags malformed, or stale segment layout
 };
 
 const char* diag_kind_name(DiagKind k) noexcept;

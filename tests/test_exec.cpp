@@ -49,6 +49,8 @@ bool schedules_equal(const ExecSchedule& a, const ExecSchedule& b) {
   ok = vec_eq("level_ptr", a.level_ptr, b.level_ptr) && ok;
   ok = vec_eq("serial_order", a.serial_order, b.serial_order) && ok;
   ok = vec_eq("level_tags", a.level_tags, b.level_tags) && ok;
+  ok = vec_eq("seg_level_ptr", a.seg_level_ptr, b.seg_level_ptr) && ok;
+  ok = vec_eq("seg_items", a.seg_items, b.seg_items) && ok;
   return ok;
 }
 

@@ -10,7 +10,8 @@
 //     stay untagged;
 //   * re-tagging an already tagged schedule with other thresholds starts
 //     from the full uniform waits: the result is field-for-field a fresh
-//     build tagged once, verifier-clean, and bitwise equal to serial.
+//     build tagged once, verifier-clean, and bitwise equal to serial; a
+//     stored segment layout that disagrees with the tags is flagged.
 #include <string>
 #include <vector>
 
@@ -196,6 +197,7 @@ void check_retag(const std::string& name, int t) {
     apply_level_tags(ff, low, tf);
     apply_level_tags(fb, up, tb);
     CHECK_MSG(f.fwd.level_tags == ff.level_tags &&
+                  f.fwd.seg_items == ff.seg_items &&
                   f.fwd.wait_ptr == ff.wait_ptr &&
                   f.fwd.wait_thread == ff.wait_thread &&
                   f.fwd.wait_count == ff.wait_count &&
@@ -204,6 +206,7 @@ void check_retag(const std::string& name, int t) {
               static_cast<int>(th.serial_below),
               static_cast<int>(th.barrier_below));
     CHECK_MSG(f.bwd.level_tags == fb.level_tags &&
+                  f.bwd.seg_items == fb.seg_items &&
                   f.bwd.wait_ptr == fb.wait_ptr &&
                   f.bwd.wait_thread == fb.wait_thread &&
                   f.bwd.wait_count == fb.wait_count &&
@@ -219,6 +222,20 @@ void check_retag(const std::string& name, int t) {
     CHECK_MSG(bitwise_equal(z, z_ref), "%s t=%d retag(%d,%d) apply", nm, t,
               static_cast<int>(th.serial_below),
               static_cast<int>(th.barrier_below));
+  }
+
+  // The executor walks the stored segment layout: a stale one is flagged.
+  apply_level_tags(f.bwd, up, narrow_level_tags(f.bwd, f.plan.min_level_rows));
+  ExecSchedule stale = f.bwd;
+  CHECK_MSG(!stale.seg_items.empty(), "%s t=%d no segment layout", nm, t);
+  if (!stale.seg_items.empty()) {
+    stale.seg_items.back() += 1;
+    bool flagged = false;
+    for (const verify::ScheduleDiagnostic& d :
+         verify::verify_schedule(stale, up).diagnostics) {
+      flagged = flagged || d.kind == verify::DiagKind::kRegimeTag;
+    }
+    CHECK_MSG(flagged, "%s t=%d stale segment layout not flagged", nm, t);
   }
 }
 
