@@ -7,7 +7,7 @@
 //
 // Javelin computes levels either for lower(A) or lower(A + Aᵀ); the latter is
 // the default because it additionally guarantees that columns inside a level
-// have no U-side coupling, which the SR lower stage requires (paper §III-B).
+// have no U-side coupling either (paper §III-B, §VII).
 #pragma once
 
 #include <span>

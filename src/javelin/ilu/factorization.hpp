@@ -15,6 +15,7 @@
 #include "javelin/ilu/plan.hpp"
 #include "javelin/ilu/symbolic.hpp"
 #include "javelin/sparse/csr.hpp"
+#include "javelin/support/parallel.hpp"
 
 namespace javelin {
 
@@ -49,41 +50,6 @@ struct ScheduleCache {
   ~ScheduleCache();
 };
 
-/// One tile of the SR lower stage: a contiguous nonzero range of one lower
-/// row falling inside one upper level's column range (tiles never split a
-/// row-level segment, which keeps every update row-owned and race-free).
-struct SrTile {
-  index_t row = 0;      ///< permuted row index (>= n_upper)
-  index_t nz_begin = 0; ///< range inside the factor's nonzero arrays
-  index_t nz_end = 0;
-};
-
-/// Tiles grouped by upper level: tiles for level l are
-/// tiles[tile_ptr[l] .. tile_ptr[l+1]). Tasks within a level are
-/// independent; levels are separated by a taskwait (paper Fig. 6).
-///
-/// Tiles are additionally coalesced into TASKS of ~tile_nnz nonzeros: task t
-/// spans tiles [task_tile_ptr[t], task_tile_ptr[t+1]), and level l owns
-/// tasks [level_task_ptr[l], level_task_ptr[l+1]). Grouping adjacent small
-/// same-level segments keeps per-task OpenMP overhead bounded on matrices
-/// with many tiny row-level segments (the overhead profile measured with
-/// VTune in paper §V) while every tile stays row-owned and race-free.
-struct SrTiling {
-  std::vector<index_t> tile_ptr;
-  std::vector<SrTile> tiles;
-  /// Task boundaries as tile indices; size = num_tasks + 1.
-  std::vector<index_t> task_tile_ptr;
-  /// Per-level task ranges; size = num_levels + 1.
-  std::vector<index_t> level_task_ptr;
-  /// Levels that actually own tiles (others are skipped at run time).
-  index_t active_levels = 0;
-
-  index_t num_tasks() const noexcept {
-    return task_tile_ptr.empty() ? 0
-                                 : static_cast<index_t>(task_tile_ptr.size()) - 1;
-  }
-};
-
 struct Factorization {
   IluOptions opts;
   SymbolicStats symbolic;
@@ -99,8 +65,13 @@ struct Factorization {
   ExecSchedule fwd;
   /// Backward-solve schedule over all rows.
   ExecSchedule bwd;
-  /// SR tiling (empty unless plan.method == kSegmentedRows).
-  SrTiling sr;
+  /// Lower-stage work prefix (the paper's segmented scan over the moved
+  /// rows): lower_work[i] is the elimination work of permuted rows
+  /// [n_upper, n_upper + i) against the upper stage, so its size is
+  /// num_lower_rows + 1 (empty when nothing moved). A row's work is its
+  /// nonzero count (mark + scan) plus the U-row lengths its upper-column
+  /// entries update. lower_row_block cuts it for any team at run time.
+  std::vector<offset_t> lower_work;
   /// Barrier level-set schedule of the corner block, over LOCAL row indices
   /// [0, num_lower_rows) (only when opts.parallel_corner).
   ExecSchedule corner;
@@ -181,10 +152,11 @@ void build_scatter_map(Factorization& f, const CsrMatrix& a);
 /// map is measured against.
 void scatter_values_searched(Factorization& f, const CsrMatrix& a);
 
-/// Build tiles for the SR lower stage from the permuted factor, coalescing
-/// adjacent same-level tiles into tasks of up to tile_nnz nonzeros.
-SrTiling build_sr_tiling(const CsrMatrix& lu, const TwoStagePlan& plan,
-                         index_t tile_nnz);
+/// Permuted rows [begin, end) that thread t of a `team`-thread lower pass
+/// owns: the blocks for t = 0..team-1 are contiguous, in order, cover
+/// [n_upper, n), and each carries at most total/team plus the heaviest
+/// row's work (binary searches of f.lower_work; no per-team state).
+Range lower_row_block(const Factorization& f, int team, int t);
 
 // --- runtime retargeting (ilu/retarget.cpp) --------------------------------
 

@@ -29,10 +29,12 @@ enum class FaultSite {
 /// zero-polling variant.
 using FaultHook = std::function<bool(FaultSite, index_t)>;
 
-/// Which method factors the rows excluded from level scheduling (paper
-/// §III-B). kAuto lets the planner choose from the matrix structure, as the
-/// paper's default does.
-enum class LowerMethod { kNone, kEvenRows, kSegmentedRows, kAuto };
+/// Whether trailing small or dense levels move to the lower stage (paper
+/// §III-B). kNone keeps every level in the upper stage; kEvenRows and kAuto
+/// move them and factor the moved rows in one pass over work-balanced
+/// blocks of rows (the paper's Even-Rows split, balanced by the segmented
+/// work scan its Segmented-Rows method uses).
+enum class LowerMethod { kNone, kEvenRows, kAuto };
 
 const char* lower_method_name(LowerMethod m);
 
@@ -52,9 +54,9 @@ struct IluOptions {
   double pivot_threshold = 1e-14;
 
   // --- scheduling options ------------------------------------------------
-  /// Pattern driving the level computation. lower(A+Aᵀ) is the default; it
-  /// enables SR and stri tiling (paper §VII: "we by default always recommend
-  /// using the lower(A+Aᵀ) pattern").
+  /// Pattern driving the level computation. lower(A+Aᵀ) is the default
+  /// (paper §VII: "we by default always recommend using the lower(A+Aᵀ)
+  /// pattern"): same-level rows then have no coupling in either triangle.
   LevelPattern level_pattern = LevelPattern::kLowerASymmetric;
   /// Lower-stage method.
   LowerMethod lower_method = LowerMethod::kAuto;
@@ -71,8 +73,6 @@ struct IluOptions {
   /// Only levels in the trailing fraction of the level order may be moved
   /// ("relative location" rule; Fig. 3's sandwiched small levels stay).
   double relative_location = 0.5;
-  /// SR tile size: target nonzeros per tile/task.
-  index_t sr_tile_nnz = 256;
   /// Rows per point-to-point schedule item (blocked trsv/factorization):
   /// each item issues one merged wait list and one counter publish for the
   /// whole row block, amortizing the spin-wait checks inside a level.

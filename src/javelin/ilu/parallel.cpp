@@ -1,8 +1,9 @@
 // Two-stage parallel numeric factorization (paper §III).
 //
 // Upper stage: up-looking rows under the point-to-point schedule.
-// Lower stage: Even-Rows (Fig. 8) or Segmented-Rows (Fig. 6) against the
-// finished upper stage, then the shared corner factorization (FACTOR_LU).
+// Lower stage: one row-parallel pass over contiguous, work-balanced blocks
+// of the moved rows against the finished upper stage, then the shared
+// corner factorization (FACTOR_LU).
 // Every path calls the same row kernel, so all execution modes produce
 // bitwise-identical factors (asserted by the property tests).
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "javelin/ilu/factorization.hpp"
 #include "javelin/ilu/fused.hpp"  // completes FusedApplySpmv for the cache
 #include "javelin/ilu/row_kernel.hpp"
+#include "javelin/obs/trace.hpp"
 #include "javelin/sparse/ops.hpp"
 #include "javelin/support/parallel.hpp"
 #include "javelin/verify/verify.hpp"
@@ -94,133 +96,62 @@ FactorStatus factor_corner(Factorization& f, WorkspacePool& pool) {
   return {};
 }
 
-/// Even-Rows phase one (paper Fig. 8 FACTOR_L): every lower row eliminates
-/// its upper-stage columns; rows are independent because their mutual
-/// coupling lives entirely in the corner.
-void lower_even_rows(Factorization& f, WorkspacePool& pool) {
+/// Lower stage phase one (paper Figs. 6/8 FACTOR_L): every lower row
+/// eliminates its upper-stage columns. Rows are independent here (their
+/// mutual coupling lives entirely in the corner) and each row's arithmetic
+/// runs in CSR order on one thread, so the pass needs no synchronization:
+/// each thread factors one contiguous, work-balanced block of rows.
+void factor_lower(Factorization& f, WorkspacePool& pool, int team) {
   const TwoStagePlan& plan = f.plan;
   const RowKernelParams params = kernel_params(f.opts);
   FactorView fv{f.lu.row_ptr(), f.lu.col_idx(), f.lu.values_mut(), f.diag_pos};
-#pragma omp parallel num_threads(plan.threads)
+#pragma omp parallel num_threads(team)
   {
-    RowWorkspace& ws = pool.get(thread_id());
-#pragma omp for schedule(dynamic, 1)
-    for (index_t r = plan.n_upper; r < plan.n; ++r) {
-      mark_row(fv, r, ws);
-      eliminate_window(fv, r, 0, plan.n_upper, ws, params);
+    const int t = thread_id();
+    // Cut for the team the runtime granted, which may be below `team`.
+    const Range rows = lower_row_block(f, team_size(), t);
+    if (rows.size() > 0) {
+      const obs::TraceSpan span("factor_lower");
+      RowWorkspace& ws = pool.get(t);
+      for (index_t r = rows.begin; r < rows.end; ++r) {
+        mark_row(fv, r, ws);
+        eliminate_window(fv, r, 0, plan.n_upper, ws, params);
+      }
     }
   }
 }
 
-/// Segmented-Rows (paper Fig. 6): per upper level, spawn tile tasks that
-/// divide by the pivot column and apply the U-row updates (DIVIDE_COLUMNS +
-/// UPDATE_BLOCK fused per entry — equivalent because same-level columns are
-/// decoupled under the lower(A+Aᵀ) ordering). taskwait separates levels.
-void lower_segmented_rows(Factorization& f, WorkspacePool& pool) {
+/// f.lower_work for the permuted factor (see Factorization::lower_work).
+std::vector<offset_t> lower_work_prefix(const Factorization& f) {
   const TwoStagePlan& plan = f.plan;
-  const RowKernelParams params = kernel_params(f.opts);
-  FactorView fv{f.lu.row_ptr(), f.lu.col_idx(), f.lu.values_mut(), f.diag_pos};
-  const SrTiling& sr = f.sr;
-#pragma omp parallel num_threads(plan.threads)
-#pragma omp single
-  {
-    for (std::size_t l = 0; l + 1 < sr.level_task_ptr.size(); ++l) {
-      const index_t kb = sr.level_task_ptr[l];
-      const index_t ke = sr.level_task_ptr[l + 1];
-      if (kb == ke) continue;
-      for (index_t k = kb; k < ke; ++k) {
-        // One task per coalesced tile group (~tile_nnz nonzeros of work).
-#pragma omp task firstprivate(k) shared(sr, fv, pool, params)
-        {
-          const index_t tb = sr.task_tile_ptr[static_cast<std::size_t>(k)];
-          const index_t te = sr.task_tile_ptr[static_cast<std::size_t>(k) + 1];
-          RowWorkspace& ws = pool.get(thread_id());
-          for (index_t ti = tb; ti < te; ++ti) {
-            const SrTile& tile = sr.tiles[static_cast<std::size_t>(ti)];
-            mark_row(fv, tile.row, ws);
-            eliminate_nz_range(fv, tile.row, tile.nz_begin, tile.nz_end, ws,
-                               params);
-          }
-        }
-      }
-#pragma omp taskwait
+  std::vector<offset_t> work{0};
+  work.reserve(static_cast<std::size_t>(plan.num_lower_rows()) + 1);
+  for (index_t r = plan.n_upper; r < plan.n; ++r) {
+    offset_t w = f.lu.row_nnz(r);
+    for (index_t j : f.lu.row_cols(r)) {
+      if (j >= plan.n_upper) break;
+      w += f.lu.row_end(j) - f.diag_pos[static_cast<std::size_t>(j)] - 1;
     }
+    work.push_back(work.back() + w);
   }
+  return work;
 }
 
 }  // namespace
 
-SrTiling build_sr_tiling(const CsrMatrix& lu, const TwoStagePlan& plan,
-                         index_t tile_nnz) {
-  SrTiling sr;
-  const index_t nlev = plan.num_upper_levels();
-  sr.tile_ptr.assign(static_cast<std::size_t>(nlev) + 1, 0);
-  if (plan.num_lower_rows() == 0 || nlev == 0) return sr;
-
-  // Per lower row, split its upper-column nonzeros at level boundaries.
-  // Levels are contiguous column ranges [ulp[l], ulp[l+1]) after the plan
-  // permutation, so a binary search per boundary suffices.
-  std::vector<std::vector<SrTile>> by_level(static_cast<std::size_t>(nlev));
-  const auto& ulp = plan.upper_level_ptr;
-  for (index_t r = plan.n_upper; r < plan.n; ++r) {
-    auto cols = lu.row_cols(r);
-    const index_t base = lu.row_begin(r);
-    std::size_t k = 0;
-    while (k < cols.size() && cols[k] < plan.n_upper) {
-      // Level of this column.
-      const auto it = std::upper_bound(ulp.begin(), ulp.end(), cols[k]);
-      const index_t lev = static_cast<index_t>(it - ulp.begin()) - 1;
-      const index_t level_end_col = ulp[static_cast<std::size_t>(lev) + 1];
-      std::size_t k2 = k;
-      while (k2 < cols.size() && cols[k2] < level_end_col) ++k2;
-      by_level[static_cast<std::size_t>(lev)].push_back(
-          SrTile{r, base + static_cast<index_t>(k),
-                 base + static_cast<index_t>(k2)});
-      k = k2;
-    }
-  }
-  // Emit tiles level-major. A tile is one row-level segment; a segment never
-  // splits across tiles (updates stay row-owned and race-free).
-  for (index_t l = 0; l < nlev; ++l) {
-    auto& segs = by_level[static_cast<std::size_t>(l)];
-    for (const SrTile& t : segs) sr.tiles.push_back(t);
-    sr.tile_ptr[static_cast<std::size_t>(l) + 1] =
-        static_cast<index_t>(sr.tiles.size());
-  }
-  for (index_t l = 0; l < nlev; ++l) {
-    if (sr.tile_ptr[static_cast<std::size_t>(l) + 1] >
-        sr.tile_ptr[static_cast<std::size_t>(l)]) {
-      ++sr.active_levels;
-    }
-  }
-  // Coalesce adjacent small same-level tiles into tasks of up to tile_nnz
-  // nonzeros: one OpenMP task then amortizes its spawn/steal overhead over
-  // several tiny segments (the dominant cost the paper measured with VTune
-  // in §V on many-small-level matrices). A task never crosses a level
-  // boundary, and a tile larger than tile_nnz still forms its own task.
-  const index_t cap = std::max<index_t>(1, tile_nnz);
-  sr.level_task_ptr.assign(static_cast<std::size_t>(nlev) + 1, 0);
-  sr.task_tile_ptr.push_back(0);
-  for (index_t l = 0; l < nlev; ++l) {
-    index_t t = sr.tile_ptr[static_cast<std::size_t>(l)];
-    const index_t te = sr.tile_ptr[static_cast<std::size_t>(l) + 1];
-    while (t < te) {
-      const auto tile_size = [&](index_t i) {
-        const SrTile& tl = sr.tiles[static_cast<std::size_t>(i)];
-        return tl.nz_end - tl.nz_begin;
-      };
-      index_t acc = tile_size(t);
-      index_t t2 = t + 1;
-      // Never grow past cap by merging: an oversized tile always stands
-      // alone, and a near-full task does not absorb a large neighbour.
-      while (t2 < te && acc + tile_size(t2) <= cap) acc += tile_size(t2++);
-      sr.task_tile_ptr.push_back(t2);
-      t = t2;
-    }
-    sr.level_task_ptr[static_cast<std::size_t>(l) + 1] =
-        static_cast<index_t>(sr.task_tile_ptr.size()) - 1;
-  }
-  return sr;
+Range lower_row_block(const Factorization& f, int team, int t) {
+  const index_t n_lower = f.plan.num_lower_rows();
+  if (n_lower == 0) return {f.plan.n, f.plan.n};
+  // Block k starts at the first row whose prefix reaches k/team of the
+  // total; the last block ends at n.
+  const auto& work = f.lower_work;
+  const auto cut = [&](int k) -> index_t {
+    if (k >= team) return n_lower;
+    const offset_t target = work.back() * k / team;
+    return static_cast<index_t>(
+        std::lower_bound(work.begin(), work.end(), target) - work.begin());
+  };
+  return {f.plan.n_upper + cut(t), f.plan.n_upper + cut(t + 1)};
 }
 
 void scatter_values_searched(Factorization& f, const CsrMatrix& a) {
@@ -363,21 +294,12 @@ FactorStatus ilu_factor_numeric_status(Factorization& f) {
   }
   if (!st.ok()) return {FactorOutcome::kBadPivot, st.row};
 
-  // Lower stage. The ER/SR passes only divide by already-validated upper
-  // pivots, so they cannot break down; the corner can.
-  switch (plan.method) {
-    case LowerMethod::kNone:
-      return {};
-    case LowerMethod::kEvenRows:
-      lower_even_rows(f, pool);
-      return factor_corner(f, pool);
-    case LowerMethod::kSegmentedRows:
-      lower_segmented_rows(f, pool);
-      return factor_corner(f, pool);
-    case LowerMethod::kAuto:
-      throw Error("plan method must be resolved before the numeric phase");
-  }
-  return {};
+  // Lower stage. Its first pass only divides by already-validated upper
+  // pivots, so it cannot break down; the corner can.
+  if (plan.method == LowerMethod::kNone) return {};
+  factor_lower(f, pool, team);
+  const obs::TraceSpan span("factor_corner");
+  return factor_corner(f, pool);
 }
 
 void ilu_factor_numeric(Factorization& f) {
@@ -415,9 +337,7 @@ Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts) {
     verify::verify_schedule_or_throw(f.bwd, upper_triangular_deps(f.lu),
                                      "bwd");
   }
-  if (f.plan.method == LowerMethod::kSegmentedRows) {
-    f.sr = build_sr_tiling(f.lu, f.plan, opts.sr_tile_nnz);
-  }
+  if (f.plan.num_lower_rows() > 0) f.lower_work = lower_work_prefix(f);
   if (opts.parallel_corner && f.plan.num_lower_rows() > 0) {
     // Barrier level-set schedule over the corner block pattern (lower rows,
     // corner columns), in LOCAL indices [0, n_lower).

@@ -1,6 +1,6 @@
 // Two-stage execution plan (paper §III, Fig. 2): which levels are factored
 // by point-to-point level scheduling (upper stage) and which rows are
-// permuted to the end for the Even-Rows / Segmented-Rows lower stage.
+// permuted to the end for the lower stage.
 #pragma once
 
 #include <vector>
@@ -57,9 +57,8 @@ struct TwoStagePlan {
 ///     them;
 ///   * only whole trailing levels move, which guarantees no upper-stage row
 ///     ever depends on a lower-stage row.
-/// Method resolution for kAuto (paper §III-B): SR when fewer moved rows than
-/// threads or when their nonzero counts are highly imbalanced, otherwise ER;
-/// lower(A) pattern forces ER (SR needs the A+Aᵀ independence guarantee).
+/// The method resolves to kNone when no row moved, otherwise to kEvenRows:
+/// the one work-balanced lower-stage pass (ilu/parallel.cpp).
 TwoStagePlan build_two_stage_plan(const CsrMatrix& s, const IluOptions& opts);
 
 }  // namespace javelin

@@ -15,12 +15,16 @@
 //     segments × threads on a tagged default factor) are exact;
 //   * a tagged default factor (narrow levels serialized) traces its levels
 //     through the hybrid executor like the uniform branches do;
+//   * the numeric phase traces its lower stage (one factor_lower span per
+//     participating thread, never more threads than the runtime team) and
+//     its corner (factor_corner), also on a refactor below the plan's team;
 //   * MetricsRegistry merges are order-invariant and the schedule-shape
 //     metrics (rows_per_level) are identical across thread counts.
 #include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "javelin/gen/generators.hpp"
@@ -213,6 +217,50 @@ void check_tagged_trace(const CsrMatrix& deep) {
   ts.disable();
   CHECK_MSG(scan_trace(ts).saw_level_span,
             "no per-level spans from the hybrid executor");
+  ts.clear();
+}
+
+/// Spans named `name` in the recorded stream: total count and the number of
+/// distinct threads that emitted one.
+std::pair<int, int> span_count(const obs::TraceSession& ts, const char* name) {
+  int spans = 0, threads = 0;
+  for (const auto& [tid, events] : ts.snapshot()) {
+    int mine = 0;
+    for (const obs::TraceEvent& e : events) {
+      mine += e.ph == 'B' && std::strcmp(e.name, name) == 0 ? 1 : 0;
+    }
+    spans += mine;
+    threads += mine > 0 ? 1 : 0;
+  }
+  return {spans, threads};
+}
+
+/// The numeric phase splits into upper stage, lower pass and corner in a
+/// trace, and the lower pass runs on the runtime team: a refactor after
+/// omp_set_num_threads(team) below a 4-thread plan spawns at most `team`
+/// factor_lower threads.
+void check_lower_trace(const CsrMatrix& a) {
+  obs::TraceSession& ts = obs::TraceSession::instance();
+  ThreadCountGuard guard(4);
+  Factorization f = ilu_factor(a, base_opts(ExecBackend::kP2P, 4));
+  CHECK_MSG(f.plan.num_lower_rows() >= 8, "lower trace: %d lower rows",
+            f.plan.num_lower_rows());
+  for (const int team : {4, 2, 1}) {
+    ThreadCountGuard runtime(team);
+    ts.clear();
+    ts.enable();
+    ilu_refactor(f, a);
+    ts.disable();
+    scan_trace(ts);
+    const auto [lower_spans, lower_threads] = span_count(ts, "factor_lower");
+    CHECK_MSG(lower_spans >= 1 && lower_spans == lower_threads,
+              "team %d: %d factor_lower spans on %d threads", team,
+              lower_spans, lower_threads);
+    CHECK_MSG(lower_threads <= team, "team %d: %d factor_lower threads",
+              team, lower_threads);
+    CHECK_MSG(span_count(ts, "factor_corner").first == 1,
+              "team %d: factor_corner spans != 1", team);
+  }
   ts.clear();
 }
 
@@ -446,6 +494,7 @@ int main() {
   for (const int t : {2, 4, 8}) check_tagged_counter_identities(deep, t);
   check_trace_stream();
   check_tagged_trace(deep);
+  check_lower_trace(gen::power_system(800, 16, 48, 9));
   check_metrics_determinism(a);
   return javelin::test::finish("test_obs");
 }

@@ -81,8 +81,8 @@ int main() {
     opts.fill_level = 1;
     check_apply_parity("grid-f1", grid, opts);
     opts.fill_level = 0;
-    opts.lower_method = LowerMethod::kSegmentedRows;
-    check_apply_parity("chain-sr", chain, opts);
+    opts.lower_method = LowerMethod::kNone;
+    check_apply_parity("chain-nolower", chain, opts);
   }
 
   // Tridiagonal matrix: ILU(0) is the exact LU, so the preconditioner is the
