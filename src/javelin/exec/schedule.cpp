@@ -4,8 +4,13 @@
 
 #include "javelin/graph/levels.hpp"
 #include "javelin/support/parallel.hpp"
+#include "javelin/support/scan.hpp"
 
 namespace javelin {
+
+namespace {
+constexpr std::size_t uz(index_t i) { return static_cast<std::size_t>(i); }
+}  // namespace
 
 void ExecSchedule::producer_positions(std::vector<index_t>& owner,
                                       std::vector<index_t>& item_of) const {
@@ -33,69 +38,79 @@ void build_sparsified_waits(int threads,
                             std::vector<index_t>& wait_count,
                             index_t& deps_total, index_t& deps_kept) {
   const int T = threads;
-  const index_t n_consumers = consumer_thread_ptr[static_cast<std::size_t>(T)];
-  wait_ptr.assign(static_cast<std::size_t>(n_consumers) + 1, 0);
-  wait_thread.clear();
-  wait_count.clear();
-  deps_total = 0;
-  deps_kept = 0;
+  const index_t n_consumers = consumer_thread_ptr[uz(T)];
+  wait_ptr.assign(uz(n_consumers) + 1, 0);
 
   // Per-consumer dedup (gen-stamped max need per producer) feeding a
   // per-thread monotone high-water prune: a wait is stored only when it
   // raises what this consumer thread has already waited for on that
-  // producer. Pass 0 counts, pass 1 fills.
-  std::vector<index_t> need(static_cast<std::size_t>(T), 0);
-  std::vector<std::uint64_t> need_stamp(static_cast<std::size_t>(T), 0);
-  std::uint64_t gen = 0;
-  std::vector<index_t> touched;
-  std::vector<index_t> last_wait(static_cast<std::size_t>(T), 0);
-
-  for (int pass = 0; pass < 2; ++pass) {
-    if (pass == 1) {
-      for (std::size_t i = 1; i < wait_ptr.size(); ++i) {
-        wait_ptr[i] += wait_ptr[i - 1];
-      }
-      wait_thread.assign(static_cast<std::size_t>(wait_ptr.back()), 0);
-      wait_count.assign(static_cast<std::size_t>(wait_ptr.back()), 0);
-    }
+  // producer. Consumer thread t's prune reads only its own high-water marks,
+  // so the T prunes are independent: one worker per t appends t's waits to
+  // its own lists, and a prefix over t stitches them together.
+  std::vector<std::vector<index_t>> part_thread(uz(T)), part_count(uz(T));
+  std::vector<index_t> part_deps(uz(T), 0);
+#pragma omp parallel num_threads(std::max(1, std::min(T, max_threads())))
+  {
+    struct Dedup {
+      std::vector<index_t> need, touched;
+      std::vector<std::uint64_t> stamp;
+      std::uint64_t gen = 0;
+      index_t deps = 0;
+    } dd;
+    dd.need.assign(uz(T), 0);
+    dd.stamp.assign(uz(T), 0);
+    std::vector<index_t> last_wait(uz(T), 0);
+    // Built once per worker; its one-reference capture fits std::function's
+    // small-object buffer, so no call allocates.
+    const std::function<void(index_t, index_t)> yield =
+        [&dd](index_t ot, index_t cnt) {
+          ++dd.deps;
+          if (dd.stamp[uz(ot)] != dd.gen) {
+            dd.stamp[uz(ot)] = dd.gen;
+            dd.need[uz(ot)] = cnt;
+            dd.touched.push_back(ot);
+          } else {
+            dd.need[uz(ot)] = std::max(dd.need[uz(ot)], cnt);
+          }
+        };
+#pragma omp for schedule(dynamic, 1)
     for (int t = 0; t < T; ++t) {
       std::fill(last_wait.begin(), last_wait.end(), 0);
       if (seed) seed(t, last_wait);
-      for (index_t c = consumer_thread_ptr[static_cast<std::size_t>(t)];
-           c < consumer_thread_ptr[static_cast<std::size_t>(t) + 1]; ++c) {
-        ++gen;
-        touched.clear();
-        deps(t, c, [&](index_t ot, index_t cnt) {
-          if (pass == 0) ++deps_total;
-          if (need_stamp[static_cast<std::size_t>(ot)] != gen) {
-            need_stamp[static_cast<std::size_t>(ot)] = gen;
-            need[static_cast<std::size_t>(ot)] = cnt;
-            touched.push_back(ot);
-          } else {
-            need[static_cast<std::size_t>(ot)] =
-                std::max(need[static_cast<std::size_t>(ot)], cnt);
-          }
-        });
-        std::sort(touched.begin(), touched.end());
-        index_t w = (pass == 1) ? wait_ptr[static_cast<std::size_t>(c)] : 0;
-        index_t kept = 0;
-        for (index_t ot : touched) {
-          const index_t cnt = need[static_cast<std::size_t>(ot)];
-          if (cnt <= last_wait[static_cast<std::size_t>(ot)]) continue;
-          last_wait[static_cast<std::size_t>(ot)] = cnt;
-          if (pass == 1) {
-            wait_thread[static_cast<std::size_t>(w)] = ot;
-            wait_count[static_cast<std::size_t>(w)] = cnt;
-            ++w;
-          }
-          ++kept;
+      dd.deps = 0;
+      auto& wt = part_thread[uz(t)];
+      auto& wc = part_count[uz(t)];
+      for (index_t c = consumer_thread_ptr[uz(t)];
+           c < consumer_thread_ptr[uz(t) + 1]; ++c) {
+        ++dd.gen;
+        dd.touched.clear();
+        deps(t, c, yield);
+        std::sort(dd.touched.begin(), dd.touched.end());
+        const std::size_t before = wt.size();
+        for (index_t ot : dd.touched) {
+          const index_t cnt = dd.need[uz(ot)];
+          if (cnt <= last_wait[uz(ot)]) continue;
+          last_wait[uz(ot)] = cnt;
+          wt.push_back(ot);
+          wc.push_back(cnt);
         }
-        if (pass == 0) {
-          wait_ptr[static_cast<std::size_t>(c) + 1] = kept;
-          deps_kept += kept;
-        }
+        wait_ptr[uz(c) + 1] = static_cast<index_t>(wt.size() - before);
       }
+      part_deps[uz(t)] = dd.deps;
     }
+  }
+
+  deps_kept = inclusive_scan_inplace(std::span<index_t>(wait_ptr).subspan(1));
+  deps_total = 0;
+  wait_thread.resize(uz(deps_kept));
+  wait_count.resize(uz(deps_kept));
+  for (int t = 0; t < T; ++t) {
+    const std::size_t base = uz(wait_ptr[uz(consumer_thread_ptr[uz(t)])]);
+    std::copy(part_thread[uz(t)].begin(), part_thread[uz(t)].end(),
+              wait_thread.begin() + static_cast<std::ptrdiff_t>(base));
+    std::copy(part_count[uz(t)].begin(), part_count[uz(t)].end(),
+              wait_count.begin() + static_cast<std::ptrdiff_t>(base));
+    deps_total += part_deps[uz(t)];
   }
 }
 
@@ -191,14 +206,22 @@ ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
       T, s.thread_ptr, /*seed=*/{},
       [&](int t, index_t i,
           const std::function<void(index_t, index_t)>& yield) {
+        // The row adaptor captures one reference, so building it allocates
+        // nothing (it fits std::function's small-object buffer).
+        const struct {
+          const index_t* owner;
+          const index_t* posn;
+          index_t t;
+          const std::function<void(index_t, index_t)>* yield;
+        } ctx{owner.data(), posn.data(), static_cast<index_t>(t), &yield};
+        const std::function<void(index_t)> on_dep = [&ctx](index_t d) {
+          const index_t ot = ctx.owner[static_cast<std::size_t>(d)];
+          if (ot == kInvalidIndex || ot == ctx.t) return;
+          (*ctx.yield)(ot, ctx.posn[static_cast<std::size_t>(d)] + 1);
+        };
         for (index_t k = s.item_ptr[static_cast<std::size_t>(i)];
              k < s.item_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-          const index_t row = s.rows[static_cast<std::size_t>(k)];
-          deps(row, [&](index_t d) {
-            const index_t ot = owner[static_cast<std::size_t>(d)];
-            if (ot == kInvalidIndex || ot == static_cast<index_t>(t)) return;
-            yield(ot, posn[static_cast<std::size_t>(d)] + 1);
-          });
+          deps(s.rows[static_cast<std::size_t>(k)], on_dep);
         }
       },
       s.wait_ptr, s.wait_thread, s.wait_count, s.deps_total, s.deps_kept);
@@ -254,7 +277,6 @@ void apply_level_tags(ExecSchedule& s, const DepsFn& deps,
 
   const int T = s.threads;
   const index_t L = s.num_levels;
-  const auto uz = [](index_t i) { return static_cast<std::size_t>(i); };
 
   // Regime floor per level: every item in levels < floor[l] is published
   // before any item of level l starts. kBarrier/kSerial levels see

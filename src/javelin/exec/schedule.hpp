@@ -160,16 +160,20 @@ struct ExecSchedule {
 using DepsFn = std::function<void(index_t row, const std::function<void(index_t)>& yield)>;
 
 /// Build-time helper shared by the schedule builder and the fused-SpMV
-/// companion (build_fused_apply_spmv): two-pass (count, fill) sparsified
-/// wait-list construction with monotone per-producer high-water pruning.
-/// Thread t executes consumers [consumer_thread_ptr[t],
-/// consumer_thread_ptr[t+1]) in order. `seed` pre-loads the thread's
-/// high-water marks with counts it has already waited for before its first
-/// consumer (empty function = none). `deps(t, c, yield)` enumerates consumer
-/// c's CROSS-thread dependencies as (producer thread, required published
-/// count) — same-thread dependencies must be filtered by the caller. On
-/// return wait_ptr/wait_thread/wait_count hold the pruned CSR-style wait
-/// lists and deps_total/deps_kept the before/after dependency counts.
+/// companion (build_fused_apply_spmv): sparsified wait-list construction
+/// with monotone per-producer high-water pruning. Thread t executes
+/// consumers [consumer_thread_ptr[t], consumer_thread_ptr[t+1]) in order.
+/// `seed` pre-loads the thread's high-water marks with counts it has
+/// already waited for before its first consumer (empty function = none).
+/// `deps(t, c, yield)` enumerates consumer c's CROSS-thread dependencies as
+/// (producer thread, required published count) — same-thread dependencies
+/// must be filtered by the caller. Each consumer thread's pruning is
+/// independent, so the lists are built in one pass by an OpenMP team with
+/// one worker per consumer thread: `seed` and `deps` are called
+/// concurrently for different t and must not throw. On return
+/// wait_ptr/wait_thread/wait_count hold the pruned CSR-style wait lists and
+/// deps_total/deps_kept the before/after dependency counts — identical for
+/// any builder team.
 using WaitSeedFn = std::function<void(int t, std::span<index_t> last_wait)>;
 using WaitDepsFn = std::function<void(
     int t, index_t consumer,

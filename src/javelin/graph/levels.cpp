@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "javelin/sparse/ops.hpp"
 #include "javelin/support/scan.hpp"
 #include "javelin/support/stats.hpp"
 
@@ -10,34 +9,49 @@ namespace javelin {
 
 namespace {
 
-/// Shared worker: levels from a "for each row r, iterate dependency columns
-/// c < r" accessor.
-template <class DepCols>
-LevelSets levels_from_deps(index_t n, DepCols dep_cols) {
-  LevelSets ls;
-  ls.level.assign(static_cast<std::size_t>(n), 0);
-  index_t max_level = -1;
-  for (index_t r = 0; r < n; ++r) {
-    index_t lv = 0;
-    for (index_t c : dep_cols(r)) {
-      // Callers guarantee c < r, so level[c] is final.
-      lv = std::max(lv, ls.level[static_cast<std::size_t>(c)] + 1);
-    }
-    ls.level[static_cast<std::size_t>(r)] = lv;
-    max_level = std::max(max_level, lv);
-  }
-  const index_t nlev = max_level + 1;
-  ls.level_ptr.assign(static_cast<std::size_t>(std::max<index_t>(nlev, 0)) + 1, 0);
-  for (index_t r = 0; r < n; ++r) {
-    ++ls.level_ptr[static_cast<std::size_t>(ls.level[static_cast<std::size_t>(r)]) + 1];
-  }
+/// Groups the rows of a filled ls.level into level_ptr / rows_by_level.
+/// Within a level, rows are listed ascending — or descending when
+/// `descending`, the order the backward solve walks them.
+void bucket_levels(LevelSets& ls, bool descending) {
+  const index_t n = static_cast<index_t>(ls.level.size());
+  index_t nlev = 0;
+  for (index_t lv : ls.level) nlev = std::max(nlev, lv + 1);
+  ls.level_ptr.assign(static_cast<std::size_t>(nlev) + 1, 0);
+  for (index_t lv : ls.level) ++ls.level_ptr[static_cast<std::size_t>(lv) + 1];
   inclusive_scan_inplace(std::span<index_t>(ls.level_ptr).subspan(1));
   ls.rows_by_level.resize(static_cast<std::size_t>(n));
   std::vector<index_t> cursor(ls.level_ptr.begin(), ls.level_ptr.end() - 1);
-  for (index_t r = 0; r < n; ++r) {
+  for (index_t i = 0; i < n; ++i) {
+    const index_t r = descending ? n - 1 - i : i;
     ls.rows_by_level[static_cast<std::size_t>(
         cursor[static_cast<std::size_t>(ls.level[static_cast<std::size_t>(r)])]++)] = r;
   }
+}
+
+/// Levels of the strictly-lower pattern of `m`, or of m + mᵀ when
+/// `symmetric`, in one pass over m without forming mᵀ: row r PULLS from its
+/// own entries c < r, and each earlier row c with an entry (c, r) PUSHED its
+/// final level + 1 into level[r] as a floor. Every contributor is a smaller
+/// row, so level[r] is final by the time row r is read.
+LevelSets lower_levels(const CsrMatrix& m, bool symmetric) {
+  LevelSets ls;
+  ls.level.assign(static_cast<std::size_t>(m.rows()), 0);
+  for (index_t r = 0; r < m.rows(); ++r) {
+    const auto cols = m.row_cols(r);
+    const auto diag = std::lower_bound(cols.begin(), cols.end(), r);
+    index_t lv = ls.level[static_cast<std::size_t>(r)];
+    for (auto p = cols.begin(); p != diag; ++p) {
+      lv = std::max(lv, ls.level[static_cast<std::size_t>(*p)] + 1);
+    }
+    ls.level[static_cast<std::size_t>(r)] = lv;
+    if (!symmetric) continue;
+    for (auto p = diag; p != cols.end(); ++p) {
+      if (*p == r) continue;
+      index_t& floor = ls.level[static_cast<std::size_t>(*p)];
+      floor = std::max(floor, lv + 1);
+    }
+  }
+  bucket_levels(ls, /*descending=*/false);
   return ls;
 }
 
@@ -57,40 +71,21 @@ LevelSets::Stats LevelSets::stats() const {
 
 LevelSets compute_level_sets(const CsrMatrix& a, LevelPattern pattern) {
   JAVELIN_CHECK(a.square(), "level scheduling requires a square matrix");
-  if (pattern == LevelPattern::kLowerA) {
-    return levels_from_deps(a.rows(), [&](index_t r) {
-      auto cols = a.row_cols(r);
-      // Columns are sorted; keep only c < r.
-      const auto it = std::lower_bound(cols.begin(), cols.end(), r);
-      return std::span<const index_t>(cols.begin(), it);
-    });
-  }
-  const CsrMatrix sym = pattern_symmetrize(a);
-  return levels_from_deps(sym.rows(), [&](index_t r) {
-    auto cols = sym.row_cols(r);
-    const auto it = std::lower_bound(cols.begin(), cols.end(), r);
-    return std::span<const index_t>(cols.begin(), it);
-  });
+  return lower_levels(a, pattern == LevelPattern::kLowerASymmetric);
 }
 
 LevelSets compute_level_sets_lower(const CsrMatrix& lower) {
   JAVELIN_CHECK(lower.square(), "level scheduling requires a square matrix");
-  return levels_from_deps(lower.rows(), [&](index_t r) {
-    auto cols = lower.row_cols(r);
-    const auto it = std::lower_bound(cols.begin(), cols.end(), r);
-    return std::span<const index_t>(cols.begin(), it);
-  });
+  return lower_levels(lower, /*symmetric=*/false);
 }
 
 LevelSets compute_level_sets_upper(const CsrMatrix& upper) {
   JAVELIN_CHECK(upper.square(), "level scheduling requires a square matrix");
-  const index_t n = upper.rows();
   // Dependencies of the backward solve: row r depends on rows c > r. Process
   // rows in reverse so dependencies are final when read.
   LevelSets ls;
-  ls.level.assign(static_cast<std::size_t>(n), 0);
-  index_t max_level = -1;
-  for (index_t r = n - 1; r >= 0; --r) {
+  ls.level.assign(static_cast<std::size_t>(upper.rows()), 0);
+  for (index_t r = upper.rows() - 1; r >= 0; --r) {
     index_t lv = 0;
     auto cols = upper.row_cols(r);
     const auto it = std::upper_bound(cols.begin(), cols.end(), r);
@@ -98,23 +93,11 @@ LevelSets compute_level_sets_upper(const CsrMatrix& upper) {
       lv = std::max(lv, ls.level[static_cast<std::size_t>(*p)] + 1);
     }
     ls.level[static_cast<std::size_t>(r)] = lv;
-    max_level = std::max(max_level, lv);
   }
-  const index_t nlev = max_level + 1;
-  ls.level_ptr.assign(static_cast<std::size_t>(std::max<index_t>(nlev, 0)) + 1, 0);
-  for (index_t r = 0; r < n; ++r) {
-    ++ls.level_ptr[static_cast<std::size_t>(ls.level[static_cast<std::size_t>(r)]) + 1];
-  }
-  inclusive_scan_inplace(std::span<index_t>(ls.level_ptr).subspan(1));
-  ls.rows_by_level.resize(static_cast<std::size_t>(n));
-  std::vector<index_t> cursor(ls.level_ptr.begin(), ls.level_ptr.end() - 1);
-  // Fill in *descending* row order within each level: the backward solve
-  // walks rows high-to-low, and keeping that order makes the implied-order
-  // pruning of the point-to-point schedule valid for U as well.
-  for (index_t r = n - 1; r >= 0; --r) {
-    ls.rows_by_level[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(ls.level[static_cast<std::size_t>(r)])]++)] = r;
-  }
+  // Descending row order within each level: the backward solve walks rows
+  // high-to-low, and keeping that order makes the implied-order pruning of
+  // the point-to-point schedule valid for U as well.
+  bucket_levels(ls, /*descending=*/true);
   return ls;
 }
 

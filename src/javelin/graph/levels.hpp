@@ -55,7 +55,9 @@ struct LevelSets {
 };
 
 /// Compute level sets of the strictly-lower triangular dependency pattern of
-/// `a` (pattern selected by `pattern`). The matrix must be square.
+/// `a` (pattern selected by `pattern`). The matrix must be square. Either
+/// pattern takes one pass over `a`: lower(A + Aᵀ) is never formed — each row
+/// pushes its final level into the rows of its upper entries instead.
 LevelSets compute_level_sets(const CsrMatrix& a,
                              LevelPattern pattern = LevelPattern::kLowerASymmetric);
 

@@ -1,6 +1,7 @@
 #include "javelin/ilu/fused.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "javelin/exec/run.hpp"
 #include "javelin/ilu/forward_sweep.hpp"
@@ -53,7 +54,10 @@ FusedApplySpmv build_fused_apply_spmv(const ExecSchedule& bwd,
   // Sparsified waits via the shared schedule-builder machinery. The consumer
   // thread has already performed every wait of its OWN backward items before
   // it reaches the SpMV phase (program order), so those high-water marks
-  // seed the pruning.
+  // seed the pruning. The builder calls `deps` inside a parallel region,
+  // where a throw would terminate the process, so an unscheduled producer
+  // row is flagged there and reported after the builder returns.
+  std::atomic<bool> uncovered{false};
   build_sparsified_waits(
       T, fs.thread_ptr,
       /*seed=*/
@@ -75,8 +79,10 @@ FusedApplySpmv build_fused_apply_spmv(const ExecSchedule& bwd,
           for (index_t col : a.row_cols(r)) {
             const index_t pr = to_perm[static_cast<std::size_t>(col)];
             const index_t ot = owner[static_cast<std::size_t>(pr)];
-            JAVELIN_CHECK(ot != kInvalidIndex,
-                          "backward schedule does not cover every row");
+            if (ot == kInvalidIndex) {
+              uncovered.store(true, std::memory_order_relaxed);
+              continue;
+            }
             if (ot == static_cast<index_t>(t)) continue;
             yield(ot, item_of[static_cast<std::size_t>(pr)] + 1);
           }
@@ -84,6 +90,8 @@ FusedApplySpmv build_fused_apply_spmv(const ExecSchedule& bwd,
       },
       fs.wait_ptr, fs.wait_thread, fs.wait_count, fs.deps_total,
       fs.deps_kept);
+  JAVELIN_CHECK(!uncovered.load(std::memory_order_relaxed),
+                "backward schedule does not cover every row");
 
   // Backward-on-forward waits for the single-region pass: backward item i
   // may run once the forward items producing its rows' forward values have
@@ -113,14 +121,18 @@ FusedApplySpmv build_fused_apply_spmv(const ExecSchedule& bwd,
                k < bwd.item_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
             const index_t r = bwd.rows[static_cast<std::size_t>(k)];
             const index_t ot = fowner[static_cast<std::size_t>(r)];
-            JAVELIN_CHECK(ot != kInvalidIndex,
-                          "forward schedule does not cover every row");
+            if (ot == kInvalidIndex) {
+              uncovered.store(true, std::memory_order_relaxed);
+              continue;
+            }
             if (ot == static_cast<index_t>(t)) continue;
             yield(ot, fitem[static_cast<std::size_t>(r)] + 1);
           }
         },
         fs.fwd_wait_ptr, fs.fwd_wait_thread, fs.fwd_wait_count,
         fs.fwd_deps_total, fs.fwd_deps_kept);
+    JAVELIN_CHECK(!uncovered.load(std::memory_order_relaxed),
+                  "forward schedule does not cover every row");
     fs.fwd_synced = true;
   }
   return fs;

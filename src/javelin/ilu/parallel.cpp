@@ -49,16 +49,18 @@ void throw_pivot(index_t row) {
 /// each other, restricted to corner columns [n_upper, row). Serial by
 /// default; optionally level-scheduled through the barrier (CSR-LS)
 /// execution backend — the corner is small by construction, so per-level
-/// barriers beat spin-wait sparsification there. A bad pivot (or a
-/// fault-hook veto) aborts the region cooperatively and is reported as a
-/// status; nothing throws from inside the parallel region.
-FactorStatus factor_corner(Factorization& f, WorkspacePool& pool) {
+/// barriers beat spin-wait sparsification there. The corner schedule is
+/// built for the plan's team; a runtime `team` below it takes the serial
+/// corner (bitwise the same factor) rather than launching the plan's team.
+/// A bad pivot (or a fault-hook veto) aborts the region cooperatively and is
+/// reported as a status; nothing throws from inside the parallel region.
+FactorStatus factor_corner(Factorization& f, WorkspacePool& pool, int team) {
   const TwoStagePlan& plan = f.plan;
   const RowKernelParams params = kernel_params(f.opts);
   const FaultHook& hook = f.opts.fault_hook;
   FactorView fv{f.lu.row_ptr(), f.lu.col_idx(), f.lu.values_mut(), f.diag_pos};
   if (!f.opts.parallel_corner || plan.num_lower_rows() < 2 * plan.threads ||
-      f.corner.num_levels == 0) {
+      f.corner.num_levels == 0 || team != f.corner.threads) {
     RowWorkspace& ws = pool.get(0);
     for (index_t r = plan.n_upper; r < plan.n; ++r) {
       mark_row(fv, r, ws);
@@ -299,7 +301,7 @@ FactorStatus ilu_factor_numeric_status(Factorization& f) {
   if (plan.method == LowerMethod::kNone) return {};
   factor_lower(f, pool, team);
   const obs::TraceSpan span("factor_corner");
-  return factor_corner(f, pool);
+  return factor_corner(f, pool, team);
 }
 
 void ilu_factor_numeric(Factorization& f) {
@@ -311,26 +313,40 @@ Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts) {
   JAVELIN_CHECK(a.square(), "ILU requires a square matrix");
   Factorization f;
   f.opts = opts;
+  // One trace span per setup phase, so a trace shows where setup went.
+  const auto traced = [](const char* name, const auto& phase) {
+    const obs::TraceSpan span(name);
+    return phase();
+  };
 
-  CsrMatrix s = ilu_symbolic(a, opts.fill_level, &f.symbolic);
-  f.plan = build_two_stage_plan(s, opts);
-  f.lu = permute_symmetric(s, f.plan.perm);
-  f.diag_pos = diagonal_positions(f.lu);
+  const CsrMatrix s = traced("prepare_symbolic", [&] {
+    return ilu_symbolic(a, opts.fill_level, &f.symbolic);
+  });
+  f.plan = traced("prepare_plan",
+                  [&] { return build_two_stage_plan(s, opts); });
+  traced("prepare_permute", [&] {
+    f.lu = permute_symmetric(s, f.plan.perm);
+    f.diag_pos = diagonal_positions(f.lu);
+  });
   // Plan-time scatter map: every ilu_refactor becomes a flat O(nnz) copy.
-  build_scatter_map(f, a);
+  traced("prepare_scatter_map", [&] { build_scatter_map(f, a); });
 
   const index_t chunk =
       opts.p2p_chunk_rows > 0 ? opts.p2p_chunk_rows : kDefaultChunkRows;
-  f.fwd = build_upper_forward_schedule(f.lu, f.plan.upper_level_ptr,
-                                       opts.exec_backend, f.plan.threads,
-                                       chunk);
-  f.bwd = build_backward_schedule(f.lu, opts.exec_backend, f.plan.threads,
-                                  chunk);
+  f.fwd = traced("prepare_fwd_schedule", [&] {
+    return build_upper_forward_schedule(f.lu, f.plan.upper_level_ptr,
+                                        opts.exec_backend, f.plan.threads,
+                                        chunk);
+  });
+  f.bwd = traced("prepare_bwd_schedule", [&] {
+    return build_backward_schedule(f.lu, opts.exec_backend, f.plan.threads,
+                                   chunk);
+  });
   // Spin-wait escalation budget: carried by the schedules (retarget
   // preserves it) so every executor branch sees the configured ladder.
   f.fwd.spin_budget = opts.spin_max_pauses;
   f.bwd.spin_budget = opts.spin_max_pauses;
-  tag_narrow_levels(f);
+  traced("prepare_tags", [&] { tag_narrow_levels(f); });
   if (opts.verify_schedules) {
     verify::verify_schedule_or_throw(f.fwd, lower_triangular_deps(f.lu),
                                      "fwd");

@@ -5,6 +5,7 @@
 // layout. Also checks the lower-stage blocks themselves: contiguous,
 // covering the moved rows, and balanced by work for any team.
 #include <algorithm>
+#include <atomic>
 
 #include "javelin/gen/generators.hpp"
 #include "javelin/ilu/factorization.hpp"
@@ -205,6 +206,43 @@ int main() {
       const CsrMatrix ref = serial_reference(b, f);
       CHECK_MSG(javelin::test::bitwise_equal(f.lu.values(), ref.values()),
                 "%s refactor at runtime team %d", c.name, team);
+    }
+  }
+
+  // The parallel corner runs at the runtime team as well: a refactor after
+  // omp_set_num_threads(team) below a 4-thread plan factors no corner row on
+  // a thread >= team, and still matches the serial factor.
+  for (const Case& c : cases) {
+    IluOptions opts;
+    opts.num_threads = 4;
+    opts.parallel_corner = true;
+    index_t n_upper = 0;
+    std::atomic<int> corner_thread_max{-1};
+    opts.fault_hook = [&](FaultSite site, index_t r) {
+      if (site == FaultSite::kFactorRow && r >= n_upper) {
+        int seen = corner_thread_max.load();
+        while (seen < thread_id() &&
+               !corner_thread_max.compare_exchange_weak(seen, thread_id())) {
+        }
+      }
+      return true;
+    };
+    Factorization f = ilu_factor(*c.a, opts);
+    n_upper = f.plan.n_upper;
+    for (int team : {4, 2, 1}) {
+      CsrMatrix b = *c.a;
+      for (auto& v : b.values_mut()) v *= 1.0 + 0.0625 * team;
+      gen::make_diagonally_dominant(b);
+      corner_thread_max = -1;
+      ThreadCountGuard runtime(team);
+      ilu_refactor(f, b);
+      const CsrMatrix ref = serial_reference(b, f);
+      CHECK_MSG(javelin::test::bitwise_equal(f.lu.values(), ref.values()),
+                "%s parallel-corner refactor at runtime team %d", c.name,
+                team);
+      CHECK_MSG(corner_thread_max.load() < team,
+                "%s: corner row on thread %d at runtime team %d", c.name,
+                corner_thread_max.load(), team);
     }
   }
 

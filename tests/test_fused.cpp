@@ -82,6 +82,36 @@ void check_solver_parity(const char* name, const CsrMatrix& a, bool spd,
   }
 }
 
+/// A schedule that leaves a row unscheduled cannot feed the fused companion:
+/// the builder reports it as javelin::Error after its parallel region (a
+/// throw from inside the region would terminate the process instead).
+void check_uncovered_rows_throw(const CsrMatrix& a) {
+  IluOptions opts;
+  opts.num_threads = 4;
+  opts.retarget_oversubscribed = false;
+  opts.lower_method = LowerMethod::kNone;  // else no fwd wait set is built
+  const Factorization f = ilu_factor(a, opts);
+  // One level over every permuted row but the last: a strict subset.
+  const index_t n = f.n();
+  std::vector<index_t> rows(static_cast<std::size_t>(n) - 1);
+  for (index_t r = 0; r + 1 < n; ++r) rows[static_cast<std::size_t>(r)] = r;
+  const std::vector<index_t> level_ptr{0, n - 1};
+  const DepsFn none = [](index_t, const std::function<void(index_t)>&) {};
+  const ExecSchedule partial = build_exec_schedule(
+      ExecBackend::kP2P, n, level_ptr, rows, none, f.bwd.threads);
+  const auto throws = [&](const ExecSchedule& bwd, const ExecSchedule* fwd) {
+    try {
+      build_fused_apply_spmv(bwd, f.plan, a, kDefaultSpmvChunkRows, fwd);
+    } catch (const Error&) {
+      return true;
+    }
+    return false;
+  };
+  CHECK_MSG(throws(partial, nullptr), "partial bwd schedule accepted");
+  CHECK_MSG(throws(f.bwd, &partial), "partial fwd schedule accepted");
+  CHECK_MSG(!throws(f.bwd, &f.fwd), "full schedules rejected");
+}
+
 }  // namespace
 
 int main() {
@@ -128,6 +158,8 @@ int main() {
     opts.lower_method = LowerMethod::kAuto;
     check_operator_parity("grid-f1", grid, opts);
   }
+
+  check_uncovered_rows_throw(grid);
 
   // Full solver trajectories: fused vs unfused and across thread counts.
   {

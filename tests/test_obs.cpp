@@ -264,6 +264,23 @@ void check_lower_trace(const CsrMatrix& a) {
   ts.clear();
 }
 
+/// Setup attribution: every ilu_prepare phase is one span in a trace.
+void check_prepare_spans(const CsrMatrix& a) {
+  obs::TraceSession& ts = obs::TraceSession::instance();
+  ThreadCountGuard guard(4);
+  ts.clear();
+  ts.enable();
+  const Factorization f = ilu_prepare(a, base_opts(ExecBackend::kP2P, 4));
+  ts.disable();
+  for (const char* name :
+       {"prepare_symbolic", "prepare_plan", "prepare_permute",
+        "prepare_scatter_map", "prepare_fwd_schedule", "prepare_bwd_schedule",
+        "prepare_tags"}) {
+    CHECK_MSG(span_count(ts, name).first == 1, "%s spans != 1", name);
+  }
+  ts.clear();
+}
+
 // --- (c) counter accounting identities -----------------------------------
 
 void check_counter_identities(const CsrMatrix& a, ExecBackend be, int t) {
@@ -495,6 +512,7 @@ int main() {
   check_trace_stream();
   check_tagged_trace(deep);
   check_lower_trace(gen::power_system(800, 16, 48, 9));
+  check_prepare_spans(a);
   check_metrics_determinism(a);
   return javelin::test::finish("test_obs");
 }

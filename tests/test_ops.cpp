@@ -1,10 +1,13 @@
 // SpGEMM and transpose against dense references: random and structured
 // matrices, rectangular shapes, empty rows, unsorted column input, and
 // bitwise serial-vs-parallel parity (same discipline as test_factor_parity).
+// Also the one-pass lower(A + Aᵀ) level sets against the levels of the
+// explicitly symmetrized pattern.
 #include <algorithm>
 #include <random>
 
 #include "javelin/gen/generators.hpp"
+#include "javelin/graph/levels.hpp"
 #include "javelin/sparse/ops.hpp"
 #include "javelin/support/parallel.hpp"
 #include "test_util.hpp"
@@ -138,10 +141,34 @@ CsrMatrix reference_transpose(const CsrMatrix& a) {
                    std::move(vv));
 }
 
+/// compute_level_sets on lower(A + Aᵀ) never forms A + Aᵀ; it must agree
+/// field for field with the levels of the symmetrized pattern.
+void check_level_oracle(const char* name, const CsrMatrix& a) {
+  const LevelSets got = compute_level_sets(a, LevelPattern::kLowerASymmetric);
+  const LevelSets want = compute_level_sets_lower(pattern_symmetrize(a));
+  CHECK_MSG(got.level == want.level && got.level_ptr == want.level_ptr &&
+                got.rows_by_level == want.rows_by_level,
+            "%s: lower(A+At) levels (n=%d)", name, a.rows());
+}
+
 }  // namespace
 
 int main() {
   ThreadCountGuard guard(4);
+
+  // Level oracle: suite matrices, then seeded random unsymmetric patterns
+  // with empty rows and missing diagonals, down to n = 1 and n = 0.
+  for (const std::string& name : gen::suite_names()) {
+    check_level_oracle(name.c_str(), gen::make_suite_matrix(name).matrix);
+  }
+  for (const index_t n : {0, 1, 2, 7, 60, 300}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const double density = n > 0 ? std::min(1.0, 3.0 / n) : 0.0;
+      check_level_oracle("random", random_rect(n, n, density, seed * 977 + n));
+      check_level_oracle("random-dense",
+                         random_rect(n, n, 0.3, seed * 131 + n));
+    }
+  }
 
   // Structured square: 2-D grid times itself and times its transpose.
   {
