@@ -19,6 +19,9 @@
 // size-n' prefix of the size-n matrix is itself a valid test case and the
 // shrink loop just re-runs smaller n until the failure disappears, then
 // prints the minimal reproducing (seed, n, T, chunk, backend).
+//
+// A second part holds every wait list the parallel builder produces over
+// the suite matrices to the serial builder it replaced (the oracle below).
 #include <cmath>
 #include <cstdint>
 #include <limits>
