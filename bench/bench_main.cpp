@@ -372,6 +372,12 @@ struct MatrixReport {
   index_t levels = 0;
   index_t rows_moved = 0;
   std::string method;
+  /// Preordering the default rule picked (TwoStagePlan::ordering), the
+  /// level counts it compared and the ordering phase's wall time.
+  std::string ordering;
+  index_t natural_levels = 0;
+  index_t ordered_levels = 0;
+  double order_s = 0;
   int pcg_iterations = -1;   // ILU-Krylov on the 1st thread count (P2P)
   int pcg_iterations_ls = -1;  // same solve under the barrier backend
   int amg_iterations = -1;   // AMG-PCG (iteration counts are thread-invariant)
@@ -664,6 +670,10 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
       rep.levels = f.plan.total_levels;
       rep.rows_moved = f.plan.rows_moved;
       rep.method = lower_method_name(f.plan.method);
+      rep.ordering = ordering_name(f.plan.ordering);
+      rep.natural_levels = f.plan.natural_levels;
+      rep.ordered_levels = f.plan.ordered_levels;
+      rep.order_s = f.plan.order_s;
     }
     {
       const RepTimes rt =
@@ -961,7 +971,9 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
 
 void write_json(const BenchConfig& cfg, const std::vector<MatrixReport>& reps) {
   std::ofstream os(cfg.out);
-  // schema_version 6: + per-matrix `autotune` block (the factor-time tuner's
+  // schema_version 7: + per-matrix ordering / natural_levels /
+  // ordered_levels / order_s (the preordering ilu_prepare chose and why).
+  // schema_version 6 added the per-matrix `autotune` block (the factor-time tuner's
   // candidate grid, the pinned winner re-measured as auto_solve_s, its ratios
   // against the serial and best-fixed candidates, and the bitwise
   // autotune_parity flag that joins the exit gate), regime-coverage
@@ -978,7 +990,7 @@ void write_json(const BenchConfig& cfg, const std::vector<MatrixReport>& reps) {
   // 3 added the robust_* breakdown-retry trail and robust_only; 2 added
   // tier / streams headers, the throughput table, peak_rss_mb and trimmed.
   // See README "Benchmark JSON schema".
-  os << "{\n  \"schema_version\": 6,\n  \"tier\": \"" << cfg.tier
+  os << "{\n  \"schema_version\": 7,\n  \"tier\": \"" << cfg.tier
      << "\",\n  \"suite_scale\": " << cfg.scale
      << ",\n  \"fill_level\": " << cfg.fill << ",\n  \"reps\": " << cfg.reps
      << ",\n  \"threads\": [";
@@ -995,7 +1007,11 @@ void write_json(const BenchConfig& cfg, const std::vector<MatrixReport>& reps) {
     os << "    {\"matrix\": \"" << r.name << "\", \"n\": " << r.n
        << ", \"nnz\": " << r.nnz << ", \"levels\": " << r.levels
        << ", \"rows_moved\": " << r.rows_moved << ", \"method\": \""
-       << r.method << "\", \"krylov_iterations\": " << r.pcg_iterations
+       << r.method << "\", \"ordering\": \"" << r.ordering
+       << "\", \"natural_levels\": " << r.natural_levels
+       << ", \"ordered_levels\": " << r.ordered_levels
+       << ", \"order_s\": " << r.order_s
+       << ", \"krylov_iterations\": " << r.pcg_iterations
        << ", \"krylov_iterations_ls\": " << r.pcg_iterations_ls
        << ", \"amg_iterations\": " << r.amg_iterations
        << ", \"amg_levels\": " << r.amg_levels

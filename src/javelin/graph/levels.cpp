@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "javelin/sparse/ops.hpp"
 #include "javelin/support/scan.hpp"
 #include "javelin/support/stats.hpp"
 
@@ -55,6 +56,46 @@ LevelSets lower_levels(const CsrMatrix& m, bool symmetric) {
   return ls;
 }
 
+/// lower_levels of the ordered matrix P m Pᵀ (`order` new-to-old) without
+/// forming it: ordered row r is row order[r] of m, and its columns map
+/// through the inverse permutation. Same pull/push pass, but a row's mapped
+/// columns are unsorted, so both directions scan the whole row.
+LevelSets lower_levels_ordered(const CsrMatrix& m, bool symmetric,
+                               std::span<const index_t> order) {
+  JAVELIN_CHECK(order.size() == static_cast<std::size_t>(m.rows()),
+                "ordering length mismatch");
+  const std::vector<index_t> inv = invert_permutation(order);
+  LevelSets ls;
+  ls.level.assign(static_cast<std::size_t>(m.rows()), 0);
+  std::vector<index_t> mapped;
+  constexpr index_t kAhead = 8;  // rows of m are visited out of order
+  for (index_t r = 0; r < m.rows(); ++r) {
+    if (r + kAhead < m.rows()) {
+      const index_t next = order[static_cast<std::size_t>(r + kAhead)];
+      __builtin_prefetch(m.col_idx().data() + m.row_begin(next));
+    }
+    const auto cols = m.row_cols(order[static_cast<std::size_t>(r)]);
+    // Branch-free both ways: the mapped columns fall on either side of r
+    // unpredictably. A column p <= r pulls/pushes the neutral 0, and
+    // rewriting an earlier row's final level with itself is harmless.
+    mapped.clear();
+    index_t lv = ls.level[static_cast<std::size_t>(r)];
+    for (index_t c : cols) {
+      const index_t p = inv[static_cast<std::size_t>(c)];
+      mapped.push_back(p);
+      lv = std::max(lv, p < r ? ls.level[static_cast<std::size_t>(p)] + 1 : 0);
+    }
+    ls.level[static_cast<std::size_t>(r)] = lv;
+    if (!symmetric) continue;
+    for (index_t p : mapped) {
+      index_t& floor = ls.level[static_cast<std::size_t>(p)];
+      floor = std::max(floor, p > r ? lv + 1 : 0);
+    }
+  }
+  bucket_levels(ls, /*descending=*/false);
+  return ls;
+}
+
 }  // namespace
 
 LevelSets::Stats LevelSets::stats() const {
@@ -72,6 +113,14 @@ LevelSets::Stats LevelSets::stats() const {
 LevelSets compute_level_sets(const CsrMatrix& a, LevelPattern pattern) {
   JAVELIN_CHECK(a.square(), "level scheduling requires a square matrix");
   return lower_levels(a, pattern == LevelPattern::kLowerASymmetric);
+}
+
+LevelSets compute_level_sets(const CsrMatrix& a, LevelPattern pattern,
+                             std::span<const index_t> order) {
+  JAVELIN_CHECK(a.square(), "level scheduling requires a square matrix");
+  const bool symmetric = pattern == LevelPattern::kLowerASymmetric;
+  return order.empty() ? lower_levels(a, symmetric)
+                       : lower_levels_ordered(a, symmetric, order);
 }
 
 LevelSets compute_level_sets_lower(const CsrMatrix& lower) {
@@ -99,12 +148,6 @@ LevelSets compute_level_sets_upper(const CsrMatrix& upper) {
   // the point-to-point schedule valid for U as well.
   bucket_levels(ls, /*descending=*/true);
   return ls;
-}
-
-std::vector<index_t> level_order_permutation(const LevelSets& ls) {
-  // rows_by_level is already (level-major, ascending-row) — exactly the
-  // new-to-old permutation we want.
-  return ls.rows_by_level;
 }
 
 }  // namespace javelin

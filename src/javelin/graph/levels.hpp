@@ -61,6 +61,13 @@ struct LevelSets {
 LevelSets compute_level_sets(const CsrMatrix& a,
                              LevelPattern pattern = LevelPattern::kLowerASymmetric);
 
+/// Level sets of the ordered matrix P A Pᵀ, where `order` is new-to-old (row
+/// r of P A Pᵀ is row order[r] of A), computed through the inverse
+/// permutation without forming P A Pᵀ. Level ids and rows_by_level are in the
+/// ordered numbering. An empty `order` means natural order.
+LevelSets compute_level_sets(const CsrMatrix& a, LevelPattern pattern,
+                             std::span<const index_t> order);
+
 /// Level sets for a matrix that is *already* strictly lower triangular (or
 /// for any matrix where only entries with col < row should be considered).
 LevelSets compute_level_sets_lower(const CsrMatrix& lower);
@@ -68,9 +75,5 @@ LevelSets compute_level_sets_lower(const CsrMatrix& lower);
 /// Level sets of the strictly-UPPER pattern processed in reverse row order —
 /// the dependency structure of the backward (U) triangular solve.
 LevelSets compute_level_sets_upper(const CsrMatrix& upper);
-
-/// New-to-old permutation that orders rows by (level, row). This is the
-/// level-set ordering ("LS-*" orderings of paper Table II).
-std::vector<index_t> level_order_permutation(const LevelSets& ls);
 
 }  // namespace javelin

@@ -13,6 +13,7 @@
 #include "javelin/exec/schedule.hpp"
 #include "javelin/ilu/options.hpp"
 #include "javelin/ilu/plan.hpp"
+#include "javelin/ilu/row_kernel.hpp"
 #include "javelin/ilu/symbolic.hpp"
 #include "javelin/sparse/csr.hpp"
 #include "javelin/support/parallel.hpp"
@@ -50,6 +51,25 @@ struct ScheduleCache {
   ~ScheduleCache();
 };
 
+/// Per-thread row workspaces of the numeric phase, one allocation each (no
+/// shared cache lines), created on first use and kept across refactors:
+/// allocating and zeroing them on every call cost page faults on each
+/// refactor and tied its time to the heap layout. Scratch, like
+/// ScheduleCache: a copy starts empty.
+struct RowWorkspaces {
+  std::vector<std::unique_ptr<RowWorkspace>> ws;
+
+  RowWorkspaces() = default;
+  RowWorkspaces(const RowWorkspaces&) noexcept {}
+  RowWorkspaces(RowWorkspaces&&) noexcept = default;
+  RowWorkspaces& operator=(const RowWorkspaces&) noexcept {
+    ws.clear();
+    return *this;
+  }
+  RowWorkspaces& operator=(RowWorkspaces&&) noexcept = default;
+  ~RowWorkspaces() = default;
+};
+
 struct Factorization {
   IluOptions opts;
   SymbolicStats symbolic;
@@ -78,6 +98,8 @@ struct Factorization {
   /// Retargeted schedules for a refactorization team that differs from the
   /// plan (ilu_factor_numeric); solves cache in their workspace instead.
   ScheduleCache numeric_cache;
+  /// Row workspaces of the numeric phase (ilu_factor_numeric_status).
+  RowWorkspaces numeric_ws;
 
   /// Persistent refactor scatter map: a_scatter[k] is the position in
   /// lu.values() receiving the k-th nonzero of the (unpermuted) input
@@ -105,25 +127,27 @@ struct FactorStatus {
   bool ok() const noexcept { return outcome == FactorOutcome::kOk; }
 };
 
-/// Factor `a` with the full Javelin pipeline (level planning, permutation,
-/// two-stage parallel numeric factorization). `a` is expected to be
-/// preordered already (paper §IV: "we assume that the given matrix is
-/// already ordered"); the plan's internal level permutation is applied on
-/// top and recorded in plan.perm. Throws Error on a numeric breakdown; use
-/// ilu_prepare + ilu_factor_numeric_status for the non-throwing pipeline.
+/// Factor `a` with the full Javelin pipeline (preordering, level planning,
+/// permutation, two-stage parallel numeric factorization). The preordering
+/// (IluOptions::ordering; the paper assumes "the given matrix is already
+/// ordered", §IV) and the plan's level permutation are composed into
+/// plan.perm; callers keep working in `a`'s order. Throws Error on a numeric
+/// breakdown; use ilu_prepare + ilu_factor_numeric_status for the
+/// non-throwing pipeline.
 Factorization ilu_factor(const CsrMatrix& a, const IluOptions& opts = {});
 
-/// Everything in ilu_factor EXCEPT the numeric phase: symbolic analysis,
-/// planning, permutation, scatter map and execution schedules. The returned
-/// factor holds A's (scattered) values, not L/U. Pairing this with
-/// ilu_factor_numeric_status gives a breakdown-safe factorization where the
-/// expensive analysis is paid once and each numeric attempt (e.g. the
+/// Everything in ilu_factor EXCEPT the numeric phase: preordering, symbolic
+/// analysis, planning, permutation, scatter map and execution schedules.
+/// The returned factor holds A's (scattered) values, not L/U. Pairing this
+/// with ilu_factor_numeric_status gives a breakdown-safe factorization where
+/// the expensive analysis is paid once and each numeric attempt (e.g. the
 /// shift-ladder retries of RobustSolver) is an O(nnz) scatter + sweep.
 Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts = {});
 
 /// Re-run the numeric phase with new values but the same pattern and plan
-/// (time-stepping use case). `a` must have the pattern of the original
-/// matrix. Throws Error on breakdown.
+/// (time-stepping use case); the ordering chosen at prepare time is kept,
+/// never recomputed. `a` must have the pattern of the original matrix.
+/// Throws Error on breakdown.
 void ilu_refactor(Factorization& f, const CsrMatrix& a);
 
 /// Numeric phase only, on an already-permuted symbolic factor. Exposed for

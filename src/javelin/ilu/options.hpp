@@ -4,9 +4,11 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 
 #include "javelin/exec/backend.hpp"
 #include "javelin/graph/levels.hpp"
+#include "javelin/order/orderings.hpp"
 #include "javelin/support/types.hpp"
 
 namespace javelin {
@@ -54,6 +56,15 @@ struct IluOptions {
   double pivot_threshold = 1e-14;
 
   // --- scheduling options ------------------------------------------------
+  /// Preordering applied before the symbolic phase (paper §IV). ilu_prepare
+  /// composes it with the level permutation into the one plan.perm, so
+  /// every apply, refactor and scatter path stays in the caller's order, and
+  /// ilu_refactor never re-orders. kAuto (the default) keeps natural order
+  /// unless levels narrower than α hold at least kNarrowRowFracMin of the
+  /// rows; then it computes RCM and keeps it only if RCM at least halves the
+  /// level count. Nested dissection is never picked by kAuto (it costs
+  /// 2.5–9× an RCM); request it explicitly.
+  Ordering ordering = Ordering::kAuto;
   /// Pattern driving the level computation. lower(A+Aᵀ) is the default
   /// (paper §VII: "we by default always recommend using the lower(A+Aᵀ)
   /// pattern"): same-level rows then have no coupling in either triangle.
@@ -124,13 +135,13 @@ struct IluOptions {
   /// retargets (verify/verify.hpp): partition integrity, level soundness,
   /// happens-before coverage of all row dependencies, deadlock freedom. A
   /// failed proof throws javelin::Error with row-precise diagnostics before
-  /// the schedule can execute. Defaults to on in debug builds (an O(nnz)
-  /// assertion); release builds opt in explicitly (bench --verify does).
-#ifdef NDEBUG
-  bool verify_schedules = false;
-#else
-  bool verify_schedules = true;
-#endif
+  /// the schedule can execute. Unset — the default — resolves inside the
+  /// library (verify_schedules_enabled): on when the LIBRARY was built
+  /// without NDEBUG (an O(nnz) assertion), off in a release library, however
+  /// the calling program was compiled. Read it only through
+  /// verify_schedules_enabled; `if (opts.verify_schedules)` would test
+  /// whether it is set, not its value.
+  std::optional<bool> verify_schedules;
 
   // --- fault injection (tests only) ---------------------------------------
   /// When set, consulted after every factor/sweep row; returning false
@@ -151,5 +162,10 @@ struct IluOptions {
   /// concurrent solves; attach one per stream.
   obs::ExecObs* exec_obs = nullptr;
 };
+
+/// The resolved IluOptions::verify_schedules: its value when set, else the
+/// library's build default (on without NDEBUG, off with it). Defined in the
+/// library, so every caller sees the same default whatever its own NDEBUG.
+bool verify_schedules_enabled(const IluOptions& opts);
 
 }  // namespace javelin

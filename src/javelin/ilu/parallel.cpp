@@ -14,9 +14,12 @@
 #include "javelin/ilu/factorization.hpp"
 #include "javelin/ilu/fused.hpp"  // completes FusedApplySpmv for the cache
 #include "javelin/ilu/row_kernel.hpp"
+#include "javelin/ilu/symbolic.hpp"
 #include "javelin/obs/trace.hpp"
 #include "javelin/sparse/ops.hpp"
 #include "javelin/support/parallel.hpp"
+#include "javelin/support/scan.hpp"
+#include "javelin/support/timer.hpp"
 #include "javelin/verify/verify.hpp"
 
 namespace javelin {
@@ -27,17 +30,17 @@ RowKernelParams kernel_params(const IluOptions& o) {
   return RowKernelParams{o.drop_tolerance, o.modified, o.pivot_threshold};
 }
 
-/// Per-thread workspaces, lazily sized.
+/// f's per-thread row workspaces for the plan's team, created on first use.
 class WorkspacePool {
  public:
-  WorkspacePool(int threads, index_t n) {
-    ws_.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) ws_.push_back(std::make_unique<RowWorkspace>(n));
+  explicit WorkspacePool(Factorization& f) : ws_(f.numeric_ws.ws) {
+    const auto threads = static_cast<std::size_t>(f.plan.threads);
+    while (ws_.size() < threads) ws_.push_back(std::make_unique<RowWorkspace>(f.n()));
   }
   RowWorkspace& get(int t) { return *ws_[static_cast<std::size_t>(t)]; }
 
  private:
-  std::vector<std::unique_ptr<RowWorkspace>> ws_;
+  std::vector<std::unique_ptr<RowWorkspace>>& ws_;
 };
 
 void throw_pivot(index_t row) {
@@ -137,6 +140,69 @@ std::vector<offset_t> lower_work_prefix(const Factorization& f) {
     work.push_back(work.back() + w);
   }
   return work;
+}
+
+/// ILU(0) setup in one parallel pass over A: f.lu = P (A + missing
+/// diagonal) Pᵀ in the plan's order (fill level 0 adds no other entry),
+/// f.diag_pos, f.a_scatter and f.symbolic. The same arrays the symbolic
+/// copy, permute_symmetric, diagonal_positions and build_scatter_map
+/// produce, without the intermediate copy or a second walk over A.
+void permute_ilu0(const CsrMatrix& a, Factorization& f) {
+  const index_t n = a.rows();
+  const std::vector<index_t>& perm = f.plan.perm;
+  const std::vector<index_t> inv = invert_permutation(perm);
+  std::vector<index_t> rp(static_cast<std::size_t>(n) + 1, 0);
+  index_t added = 0;
+#pragma omp parallel for schedule(static) reduction(+ : added)
+  for (index_t r = 0; r < n; ++r) {
+    const index_t old_r = perm[static_cast<std::size_t>(r)];
+    const index_t missing = a.find(old_r, old_r) == kInvalidIndex ? 1 : 0;
+    rp[static_cast<std::size_t>(r) + 1] = a.row_nnz(old_r) + missing;
+    added += missing;
+  }
+  inclusive_scan_inplace(std::span<index_t>(rp).subspan(1));
+  const auto nnz = static_cast<std::size_t>(rp.back());
+  std::vector<index_t> ci(nnz);
+  std::vector<value_t> vv(nnz);
+  f.diag_pos.assign(static_cast<std::size_t>(n), kInvalidIndex);
+  f.a_scatter.assign(static_cast<std::size_t>(a.nnz()), kInvalidIndex);
+  const auto acols = a.col_idx();
+  const auto avals = a.values();
+  constexpr index_t kAhead = 4;
+#pragma omp parallel
+  {
+    // (new column, A position); kInvalidIndex marks an inserted diagonal.
+    std::vector<std::pair<index_t, index_t>> buf;
+#pragma omp for schedule(dynamic, 64)
+    for (index_t r = 0; r < n; ++r) {
+      // Under a preordering A's rows are visited out of order: fetch ahead.
+      if (r + kAhead < n) {
+        const index_t ahead = perm[static_cast<std::size_t>(r + kAhead)];
+        __builtin_prefetch(acols.data() + a.row_begin(ahead));
+        __builtin_prefetch(avals.data() + a.row_begin(ahead));
+      }
+      const index_t old_r = perm[static_cast<std::size_t>(r)];
+      buf.clear();
+      for (index_t k = a.row_begin(old_r); k < a.row_end(old_r); ++k) {
+        buf.emplace_back(inv[static_cast<std::size_t>(acols[static_cast<std::size_t>(k)])], k);
+      }
+      const std::size_t row_len = static_cast<std::size_t>(
+          rp[static_cast<std::size_t>(r) + 1] - rp[static_cast<std::size_t>(r)]);
+      if (buf.size() < row_len) buf.emplace_back(r, kInvalidIndex);
+      std::sort(buf.begin(), buf.end());
+      index_t w = rp[static_cast<std::size_t>(r)];
+      for (const auto& [c, k] : buf) {
+        ci[static_cast<std::size_t>(w)] = c;
+        vv[static_cast<std::size_t>(w)] =
+            k == kInvalidIndex ? value_t{0} : avals[static_cast<std::size_t>(k)];
+        if (k != kInvalidIndex) f.a_scatter[static_cast<std::size_t>(k)] = w;
+        if (c == r) f.diag_pos[static_cast<std::size_t>(r)] = w;
+        ++w;
+      }
+    }
+  }
+  f.lu = CsrMatrix(n, n, std::move(rp), std::move(ci), std::move(vv));
+  f.symbolic = SymbolicStats{static_cast<index_t>(nnz), 0, added};
 }
 
 }  // namespace
@@ -250,7 +316,7 @@ void scatter_values(Factorization& f, const CsrMatrix& a) {
 
 FactorStatus ilu_factor_numeric_status(Factorization& f) {
   const TwoStagePlan& plan = f.plan;
-  WorkspacePool pool(plan.threads, f.n());
+  WorkspacePool pool(f);
   const RowKernelParams params = kernel_params(f.opts);
   const FaultHook& hook = f.opts.fault_hook;
   FactorView fv{f.lu.row_ptr(), f.lu.col_idx(), f.lu.values_mut(), f.diag_pos};
@@ -270,7 +336,7 @@ FactorStatus ilu_factor_numeric_status(Factorization& f) {
       f.numeric_cache.bwd = ExecSchedule{};  // numeric phase never sweeps bwd
       f.numeric_cache.fused.reset();
       f.numeric_cache.threads = team;
-      if (f.opts.verify_schedules) {
+      if (verify_schedules_enabled(f.opts)) {
         verify::verify_schedule_or_throw(f.numeric_cache.fwd,
                                          lower_triangular_deps(f.lu),
                                          "numeric fwd retarget");
@@ -319,17 +385,52 @@ Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts) {
     return phase();
   };
 
-  const CsrMatrix s = traced("prepare_symbolic", [&] {
-    return ilu_symbolic(a, opts.fill_level, &f.symbolic);
+  // Preordering (paper §IV), folded into plan.perm so every consumer stays
+  // in the caller's order. ILU(0)'s pattern is A's plus the diagonal, which
+  // no level reads, so its plan reuses the ordered level sets and A is
+  // permuted ONCE, straight into the factor (permute_ilu0). ILU(k>0) fill
+  // depends on the order: it permutes A first and plans on the ordered fill.
+  Preorder pre;
+  CsrMatrix a_ordered;  // ILU(k>0) under an ordering only
+  const Timer order_timer;
+  traced("prepare_order", [&] {
+    pre = choose_preorder(a, opts);
+    if (opts.fill_level > 0 && !pre.perm.empty()) {
+      a_ordered = permute_symmetric(a, pre.perm);
+    }
   });
-  f.plan = traced("prepare_plan",
-                  [&] { return build_two_stage_plan(s, opts); });
-  traced("prepare_permute", [&] {
-    f.lu = permute_symmetric(s, f.plan.perm);
-    f.diag_pos = diagonal_positions(f.lu);
-  });
-  // Plan-time scatter map: every ilu_refactor becomes a flat O(nnz) copy.
-  traced("prepare_scatter_map", [&] { build_scatter_map(f, a); });
+  const double order_s = order_timer.seconds();
+  const bool fill_ordered = a_ordered.rows() > 0;
+
+  if (opts.fill_level == 0) {
+    f.plan = traced("prepare_plan", [&] {
+      return build_two_stage_plan(a, pre.levels, pre.perm, opts);
+    });
+    traced("prepare_permute", [&] { permute_ilu0(a, f); });
+  } else {
+    const CsrMatrix s = traced("prepare_symbolic", [&] {
+      return ilu_symbolic(fill_ordered ? a_ordered : a, opts.fill_level,
+                          &f.symbolic);
+    });
+    f.plan = traced("prepare_plan", [&] {
+      return build_two_stage_plan(s, compute_level_sets(s, opts.level_pattern),
+                                  {}, opts);
+    });
+    traced("prepare_permute", [&] {
+      f.lu = permute_symmetric(s, f.plan.perm);
+      f.diag_pos = diagonal_positions(f.lu);
+      // s is in the ordered numbering: map the plan to the caller's rows.
+      if (fill_ordered) {
+        f.plan.perm = compose_permutations(pre.perm, f.plan.perm);
+      }
+    });
+    // Plan-time scatter map: every ilu_refactor becomes a flat O(nnz) copy.
+    traced("prepare_scatter_map", [&] { build_scatter_map(f, a); });
+  }
+  f.plan.ordering = pre.ordering;
+  f.plan.natural_levels = pre.natural_levels;
+  f.plan.ordered_levels = pre.ordered_levels;
+  f.plan.order_s = order_s;
 
   const index_t chunk =
       opts.p2p_chunk_rows > 0 ? opts.p2p_chunk_rows : kDefaultChunkRows;
@@ -347,11 +448,13 @@ Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts) {
   f.fwd.spin_budget = opts.spin_max_pauses;
   f.bwd.spin_budget = opts.spin_max_pauses;
   traced("prepare_tags", [&] { tag_narrow_levels(f); });
-  if (opts.verify_schedules) {
-    verify::verify_schedule_or_throw(f.fwd, lower_triangular_deps(f.lu),
-                                     "fwd");
-    verify::verify_schedule_or_throw(f.bwd, upper_triangular_deps(f.lu),
-                                     "bwd");
+  if (verify_schedules_enabled(opts)) {
+    traced("prepare_verify", [&] {
+      verify::verify_schedule_or_throw(f.fwd, lower_triangular_deps(f.lu),
+                                       "fwd");
+      verify::verify_schedule_or_throw(f.bwd, upper_triangular_deps(f.lu),
+                                       "bwd");
+    });
   }
   if (f.plan.num_lower_rows() > 0) f.lower_work = lower_work_prefix(f);
   if (opts.parallel_corner && f.plan.num_lower_rows() > 0) {
@@ -377,7 +480,7 @@ Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts) {
                                    f.plan.threads, chunk);
     f.corner.spin_budget = opts.spin_max_pauses;
     // Verified here, while corner_pat (the dependency pattern) is alive.
-    if (opts.verify_schedules) {
+    if (verify_schedules_enabled(opts)) {
       verify::verify_schedule_or_throw(
           f.corner, lower_triangular_deps(corner_pat), "corner");
     }

@@ -3,6 +3,7 @@
 // permuted to the end for the lower stage.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "javelin/graph/levels.hpp"
@@ -13,9 +14,10 @@ namespace javelin {
 
 struct TwoStagePlan {
   index_t n = 0;
-  /// New-to-old permutation of the symbolic factor's rows: level-set order
-  /// with lower-stage rows moved to the end (they retain their level-major
-  /// relative order, so the permuted matrix still eliminates top-to-bottom).
+  /// New-to-old permutation from the caller's rows to the factor's: the
+  /// preordering (`ordering`) composed with the level-set order, lower-stage
+  /// rows moved to the end (they retain their level-major relative order,
+  /// so the permuted matrix still eliminates top-to-bottom).
   std::vector<index_t> perm;
   /// Rows [0, n_upper) are handled by the upper stage.
   index_t n_upper = 0;
@@ -36,6 +38,19 @@ struct TwoStagePlan {
   /// serialize the rest (narrow_level_tags).
   index_t min_level_rows = 16;
 
+  // --- preordering (paper §IV) ----------------------------------------------
+  /// Preordering folded into perm (never kAuto).
+  Ordering ordering = Ordering::kNatural;
+  /// Level counts of the lower pattern of A in natural order and under the
+  /// candidate ordering; 0 when not computed (natural levels are skipped
+  /// when an ordering was requested explicitly, ordered levels when kAuto's
+  /// rule did not fire or natural order was requested).
+  index_t natural_levels = 0;
+  index_t ordered_levels = 0;
+  /// Wall seconds of ilu_prepare's ordering phase (its prepare_order span):
+  /// the level sets the rule reads, the candidate ordering and its levels.
+  double order_s = 0;
+
   // --- planning statistics (Tables III/IV) --------------------------------
   index_t total_levels = 0;   ///< levels before the split
   index_t rows_moved = 0;     ///< rows sent to the lower stage ("R-α")
@@ -47,7 +62,10 @@ struct TwoStagePlan {
   index_t num_lower_rows() const noexcept { return n - n_upper; }
 };
 
-/// Build the plan for symbolic factor pattern `s`. Heuristics (paper §III-A):
+/// Build the plan for symbolic factor pattern `s` from the level sets `ls`
+/// of P s Pᵀ, where `order` (new-to-old, empty = natural) maps ls's rows to
+/// s's; plan.perm maps straight to s's rows (the ordering composed with the
+/// level order). Heuristics (paper §III-A):
 ///   * levels are scanned from the END of the level order; a level is moved
 ///     to the lower stage while it is "too small" (< min_level_rows rows) or
 ///     too dense (mean row nnz > density_factor × matrix mean);
@@ -59,6 +77,28 @@ struct TwoStagePlan {
 ///     ever depends on a lower-stage row.
 /// The method resolves to kNone when no row moved, otherwise to kEvenRows:
 /// the one work-balanced lower-stage pass (ilu/parallel.cpp).
-TwoStagePlan build_two_stage_plan(const CsrMatrix& s, const IluOptions& opts);
+TwoStagePlan build_two_stage_plan(const CsrMatrix& s, const LevelSets& ls,
+                                  std::span<const index_t> order,
+                                  const IluOptions& opts);
+
+/// The resolved α of a plan for `opts` (TwoStagePlan::min_level_rows).
+index_t plan_min_level_rows(const IluOptions& opts);
+
+/// The preordering ilu_prepare applies to `a` and the level sets of the
+/// ordered pattern (which, for ILU(0), are the plan's).
+struct Preorder {
+  Ordering ordering = Ordering::kNatural;  ///< resolved, never kAuto
+  std::vector<index_t> perm;               ///< new-to-old; empty = natural
+  LevelSets levels;                        ///< levels of P A Pᵀ, its numbering
+  index_t natural_levels = 0;  ///< see TwoStagePlan::natural_levels
+  index_t ordered_levels = 0;  ///< see TwoStagePlan::ordered_levels
+};
+
+/// Resolve opts.ordering for `a` (see IluOptions::ordering). kAuto reads the
+/// natural level sets: when levels narrower than α hold at least
+/// kNarrowRowFracMin of the rows it computes RCM and its levels (through
+/// the inverse permutation, never forming P A Pᵀ) and keeps RCM only if it
+/// at least halves the level count.
+Preorder choose_preorder(const CsrMatrix& a, const IluOptions& opts);
 
 }  // namespace javelin

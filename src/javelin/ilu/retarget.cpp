@@ -65,7 +65,7 @@ void ensure_cache(const Factorization& f, ScheduleCache& cache, int team) {
   // must agree on the team, and the fused companion hangs off bwd.
   cache.fwd = retarget(f.fwd, lower_triangular_deps(f.lu), team);
   cache.bwd = retarget(f.bwd, upper_triangular_deps(f.lu), team);
-  if (f.opts.verify_schedules) {
+  if (verify_schedules_enabled(f.opts)) {
     verify::verify_schedule_or_throw(cache.fwd, lower_triangular_deps(f.lu),
                                      "fwd retarget");
     verify::verify_schedule_or_throw(cache.bwd, upper_triangular_deps(f.lu),

@@ -32,6 +32,25 @@ ExecStatus trsv_forward(const Factorization& f, std::span<value_t> x,
       f, [&x](index_t r) { return x[static_cast<std::size_t>(r)]; }, x, ws);
 }
 
+namespace {
+
+/// The backward sweep's hook-free paths: `row(r)` runs under f.bwd (or its
+/// runtime retarget), instrumented when an ExecObs sink is attached.
+template <class RowFn>
+void backward_sweep(const Factorization& f, SolveWorkspace& ws, RowFn row) {
+  const ExecSchedule& bwd = runtime_bwd(f, ws.sched);
+  if (f.opts.exec_obs != nullptr) {
+    exec_run_obs(
+        bwd, [&](index_t r, int) { row(r); }, ws.progress, *f.opts.exec_obs,
+        obs::Region::kBackward);
+    return;
+  }
+  exec_run(
+      bwd, [&](index_t r, int) { row(r); }, ws.progress);
+}
+
+}  // namespace
+
 ExecStatus trsv_backward(const Factorization& f, std::span<value_t> x,
                          SolveWorkspace& ws) {
   const FaultHook& hook = f.opts.fault_hook;
@@ -44,17 +63,7 @@ ExecStatus trsv_backward(const Factorization& f, std::span<value_t> x,
         },
         ws.progress);
   }
-  if (f.opts.exec_obs != nullptr) {
-    exec_run_obs(
-        runtime_bwd(f, ws.sched),
-        [&](index_t r, int) { backward_row(f.lu, f.diag_pos, r, x); },
-        ws.progress, *f.opts.exec_obs, obs::Region::kBackward);
-    return {};
-  }
-  exec_run(
-      runtime_bwd(f, ws.sched),
-      [&](index_t r, int) { backward_row(f.lu, f.diag_pos, r, x); },
-      ws.progress);
+  backward_sweep(f, ws, [&](index_t r) { backward_row(f.lu, f.diag_pos, r, x); });
   return {};
 }
 
@@ -75,6 +84,25 @@ ExecStatus ilu_apply_status(const Factorization& f, std::span<const value_t> r,
   ws.resize(n, f.plan.num_lower_rows());
   const auto& perm = f.plan.perm;
   std::span<value_t> x(ws.x);
+  if (!f.opts.fault_hook) {
+    // The gather x = P r is folded into the forward rows and the scatter
+    // z = Pᵀ x into the backward rows: no separate passes, no extra
+    // fork/joins, the same operands in the same order (bitwise unchanged).
+    detail::forward_sweep(
+        f,
+        [&](index_t i) {
+          return r[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])];
+        },
+        x, ws);
+    backward_sweep(f, ws, [&](index_t i) {
+      backward_row(f.lu, f.diag_pos, i, x);
+      z[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])] =
+          x[static_cast<std::size_t>(i)];
+    });
+    return {};
+  }
+  // Fault-hook path: separate gather and scatter passes, so an aborted
+  // sweep leaves z unwritten.
 #pragma omp parallel for schedule(static)
   for (index_t i = 0; i < n; ++i) {
     x[static_cast<std::size_t>(i)] =

@@ -1,59 +1,76 @@
 #include <algorithm>
+#include <cstdint>
 
-#include "javelin/graph/bfs.hpp"
 #include "javelin/order/orderings.hpp"
 #include "javelin/sparse/ops.hpp"
+#include "javelin/support/parallel.hpp"
 
 namespace javelin {
 
-namespace {
-
-std::vector<index_t> cuthill_mckee(const CsrMatrix& sym) {
-  const index_t n = sym.rows();
-  std::vector<index_t> order;
-  order.reserve(static_cast<std::size_t>(n));
-  std::vector<bool> visited(static_cast<std::size_t>(n), false);
+std::vector<index_t> rcm_order(const CsrMatrix& a) {
+  JAVELIN_CHECK(a.square(), "ordering requires a square matrix");
+  const index_t n = a.rows();
+  const CsrPattern at = transpose_pattern(a);
+  const auto at_cols = [&](index_t v) {
+    const auto b = static_cast<std::size_t>(at.row_ptr[static_cast<std::size_t>(v)]);
+    const auto e = static_cast<std::size_t>(at.row_ptr[static_cast<std::size_t>(v) + 1]);
+    return std::span<const index_t>(at.col_idx).subspan(b, e - b);
+  };
+  // Neighbour rank: nnz of the vertex's A row plus its Aᵀ row. An entry
+  // present in both triangles counts twice; the key only ranks neighbours.
   std::vector<index_t> degree(static_cast<std::size_t>(n));
-  for (index_t v = 0; v < n; ++v) degree[static_cast<std::size_t>(v)] = sym.row_nnz(v);
+#pragma omp parallel for schedule(static)
+  for (index_t v = 0; v < n; ++v) {
+    degree[static_cast<std::size_t>(v)] =
+        a.row_nnz(v) + static_cast<index_t>(at_cols(v).size());
+  }
 
-  std::vector<index_t> nbrs;
+  // order[] doubles as the BFS queue. Newly reached neighbours are ranked
+  // by one 64-bit key, (degree, index); a vertex reaches few new ones, so
+  // short runs are insertion-sorted.
+  std::vector<index_t> order(static_cast<std::size_t>(n));
+  std::vector<char> reached(static_cast<std::size_t>(n), 0);
+  std::vector<std::uint64_t> fresh;
+  const auto reach = [&](index_t c) {
+    if (reached[static_cast<std::size_t>(c)]) return;
+    reached[static_cast<std::size_t>(c)] = 1;
+    fresh.push_back(static_cast<std::uint64_t>(degree[static_cast<std::size_t>(c)]) << 32 |
+                    static_cast<std::uint32_t>(c));
+  };
+  constexpr index_t kAhead = 4;
+  index_t tail = 0;
   for (index_t seed = 0; seed < n; ++seed) {
-    if (visited[static_cast<std::size_t>(seed)]) continue;
-    const index_t start = pseudo_peripheral_vertex(sym, seed);
-    // BFS with degree-sorted neighbour expansion.
-    std::size_t head = order.size();
-    order.push_back(start);
-    visited[static_cast<std::size_t>(start)] = true;
-    while (head < order.size()) {
-      const index_t v = order[head++];
-      nbrs.clear();
-      for (index_t c : sym.row_cols(v)) {
-        if (c != v && !visited[static_cast<std::size_t>(c)]) {
-          visited[static_cast<std::size_t>(c)] = true;
-          nbrs.push_back(c);
+    if (reached[static_cast<std::size_t>(seed)]) continue;
+    reached[static_cast<std::size_t>(seed)] = 1;
+    index_t head = tail;
+    order[static_cast<std::size_t>(tail++)] = seed;
+    for (; head < tail; ++head) {
+      // The queue is known a few vertices ahead: fetch their rows early.
+      if (head + kAhead < tail) {
+        const index_t u = order[static_cast<std::size_t>(head + kAhead)];
+        __builtin_prefetch(a.col_idx().data() + a.row_begin(u));
+        __builtin_prefetch(at.col_idx.data() + at.row_ptr[static_cast<std::size_t>(u)]);
+      }
+      const index_t v = order[static_cast<std::size_t>(head)];
+      fresh.clear();
+      for (index_t c : a.row_cols(v)) reach(c);
+      for (index_t c : at_cols(v)) reach(c);
+      if (fresh.size() > 16) {
+        std::sort(fresh.begin(), fresh.end());
+      } else {
+        for (std::size_t i = 1; i < fresh.size(); ++i) {
+          const std::uint64_t key = fresh[i];
+          std::size_t j = i;
+          for (; j > 0 && fresh[j - 1] > key; --j) fresh[j] = fresh[j - 1];
+          fresh[j] = key;
         }
       }
-      std::sort(nbrs.begin(), nbrs.end(), [&](index_t x, index_t y) {
-        const index_t dx = degree[static_cast<std::size_t>(x)];
-        const index_t dy = degree[static_cast<std::size_t>(y)];
-        return dx != dy ? dx < dy : x < y;
-      });
-      order.insert(order.end(), nbrs.begin(), nbrs.end());
+      for (const std::uint64_t key : fresh) {
+        order[static_cast<std::size_t>(tail++)] =
+            static_cast<index_t>(key & 0xffffffffu);
+      }
     }
   }
-  return order;
-}
-
-}  // namespace
-
-std::vector<index_t> cm_order(const CsrMatrix& a) {
-  JAVELIN_CHECK(a.square(), "ordering requires a square matrix");
-  const CsrMatrix sym = pattern_symmetric(a) ? a : pattern_symmetrize(a);
-  return cuthill_mckee(sym);
-}
-
-std::vector<index_t> rcm_order(const CsrMatrix& a) {
-  std::vector<index_t> order = cm_order(a);
   std::reverse(order.begin(), order.end());
   return order;
 }
@@ -64,24 +81,14 @@ std::vector<index_t> natural_order(index_t n) {
   return p;
 }
 
-const char* ordering_name(OrderingKind k) {
-  switch (k) {
-    case OrderingKind::kNatural: return "NAT";
-    case OrderingKind::kRcm: return "RCM";
-    case OrderingKind::kMinDegree: return "AMD";
-    case OrderingKind::kNestedDissection: return "ND";
+const char* ordering_name(Ordering o) {
+  switch (o) {
+    case Ordering::kNatural: return "natural";
+    case Ordering::kRcm: return "rcm";
+    case Ordering::kNestedDissection: return "nd";
+    case Ordering::kAuto: return "auto";
   }
   return "?";
-}
-
-std::vector<index_t> make_ordering(const CsrMatrix& a, OrderingKind k) {
-  switch (k) {
-    case OrderingKind::kNatural: return natural_order(a.rows());
-    case OrderingKind::kRcm: return rcm_order(a);
-    case OrderingKind::kMinDegree: return min_degree_order(a);
-    case OrderingKind::kNestedDissection: return nested_dissection_order(a);
-  }
-  throw Error("unknown ordering kind");
 }
 
 }  // namespace javelin

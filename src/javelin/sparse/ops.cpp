@@ -8,44 +8,30 @@
 
 namespace javelin {
 
-CsrMatrix transpose(const CsrMatrix& a) {
+namespace {
+
+/// Counting transpose into rp/ci (and vv when kValues). Small inputs run the
+/// serial count; large ones a chunked parallel scatter: each chunk owns a
+/// contiguous row range of A and a private column histogram; prefix-summing
+/// histograms across chunks gives every chunk a disjoint write window per
+/// output row, so the fill pass has one writer per slot. Chunks are processed
+/// in ascending row order within a column, so output rows come out sorted
+/// regardless of team size.
+template <bool kValues>
+void transpose_into(const CsrMatrix& a, std::vector<index_t>& rp,
+                    std::vector<index_t>& ci, std::vector<value_t>& vv) {
   const index_t n = a.rows();
   const index_t m = a.cols();
   const index_t nnz = a.nnz();
-  const int chunks = std::max(1, max_threads());
+  const int chunks = nnz < (1 << 15) ? 1 : std::max(1, max_threads());
+  ci.resize(static_cast<std::size_t>(nnz));
+  if constexpr (kValues) vv.resize(static_cast<std::size_t>(nnz));
 
-  // Small inputs: the serial counting transpose beats any parallel setup.
-  if (chunks == 1 || nnz < (1 << 15)) {
-    std::vector<index_t> rp(static_cast<std::size_t>(m) + 1, 0);
-    for (index_t k = 0; k < nnz; ++k) {
-      ++rp[static_cast<std::size_t>(a.col_idx()[static_cast<std::size_t>(k)]) + 1];
-    }
-    inclusive_scan_inplace(std::span<index_t>(rp).subspan(1));
-    std::vector<index_t> cursor(rp.begin(), rp.end() - 1);
-    std::vector<index_t> ci(static_cast<std::size_t>(nnz));
-    std::vector<value_t> vv(static_cast<std::size_t>(nnz));
-    for (index_t r = 0; r < n; ++r) {
-      for (index_t k = a.row_begin(r); k < a.row_end(r); ++k) {
-        const index_t c = a.col_idx()[static_cast<std::size_t>(k)];
-        const index_t pos = cursor[static_cast<std::size_t>(c)]++;
-        ci[static_cast<std::size_t>(pos)] = r;
-        vv[static_cast<std::size_t>(pos)] = a.values()[static_cast<std::size_t>(k)];
-      }
-    }
-    // Row-major traversal of A emits ascending r per column, so rows of the
-    // transpose come out sorted already.
-    return CsrMatrix(m, n, std::move(rp), std::move(ci), std::move(vv));
-  }
-
-  // Chunked parallel scatter: each chunk owns a contiguous row range of A and
-  // a private column histogram; prefix-summing histograms across chunks gives
-  // every chunk a disjoint write window per output row, so the fill pass has
-  // one writer per slot. Chunks are processed in ascending row order within a
-  // column, so output rows come out sorted regardless of team size.
+  // hist[ch * m + c]: chunk ch's count of column c, then its write cursor.
   std::vector<index_t> hist(static_cast<std::size_t>(chunks) *
                                 static_cast<std::size_t>(m),
                             0);
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (chunks > 1)
   for (int ch = 0; ch < chunks; ++ch) {
     const Range rr = partition_range(n, chunks, ch);
     index_t* h = hist.data() + static_cast<std::size_t>(ch) * static_cast<std::size_t>(m);
@@ -55,7 +41,7 @@ CsrMatrix transpose(const CsrMatrix& a) {
     }
   }
   // Per-column totals and per-(chunk, column) write cursors in one sweep.
-  std::vector<index_t> rp(static_cast<std::size_t>(m) + 1, 0);
+  rp.assign(static_cast<std::size_t>(m) + 1, 0);
   index_t running = 0;
   for (index_t c = 0; c < m; ++c) {
     rp[static_cast<std::size_t>(c)] = running;
@@ -68,9 +54,7 @@ CsrMatrix transpose(const CsrMatrix& a) {
     }
   }
   rp[static_cast<std::size_t>(m)] = running;
-  std::vector<index_t> ci(static_cast<std::size_t>(nnz));
-  std::vector<value_t> vv(static_cast<std::size_t>(nnz));
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (chunks > 1)
   for (int ch = 0; ch < chunks; ++ch) {
     const Range rr = partition_range(n, chunks, ch);
     index_t* cursor = hist.data() + static_cast<std::size_t>(ch) * static_cast<std::size_t>(m);
@@ -79,11 +63,29 @@ CsrMatrix transpose(const CsrMatrix& a) {
         const index_t c = a.col_idx()[static_cast<std::size_t>(k)];
         const index_t pos = cursor[static_cast<std::size_t>(c)]++;
         ci[static_cast<std::size_t>(pos)] = r;
-        vv[static_cast<std::size_t>(pos)] = a.values()[static_cast<std::size_t>(k)];
+        if constexpr (kValues) {
+          vv[static_cast<std::size_t>(pos)] = a.values()[static_cast<std::size_t>(k)];
+        }
       }
     }
   }
-  return CsrMatrix(m, n, std::move(rp), std::move(ci), std::move(vv));
+}
+
+}  // namespace
+
+CsrMatrix transpose(const CsrMatrix& a) {
+  std::vector<index_t> rp, ci;
+  std::vector<value_t> vv;
+  transpose_into<true>(a, rp, ci, vv);
+  return CsrMatrix(a.cols(), a.rows(), std::move(rp), std::move(ci),
+                   std::move(vv));
+}
+
+CsrPattern transpose_pattern(const CsrMatrix& a) {
+  CsrPattern t;
+  std::vector<value_t> unused;
+  transpose_into<false>(a, t.row_ptr, t.col_idx, unused);
+  return t;
 }
 
 CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b) {
@@ -290,72 +292,6 @@ CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const index_t> perm) {
   return CsrMatrix(n, n, std::move(rp), std::move(ci), std::move(vv));
 }
 
-CsrMatrix permute_rows(const CsrMatrix& a, std::span<const index_t> perm) {
-  JAVELIN_CHECK(perm.size() == static_cast<std::size_t>(a.rows()),
-                "permutation length mismatch");
-  const index_t n = a.rows();
-  std::vector<index_t> rp(static_cast<std::size_t>(n) + 1, 0);
-  for (index_t r = 0; r < n; ++r) {
-    rp[static_cast<std::size_t>(r) + 1] = a.row_nnz(perm[static_cast<std::size_t>(r)]);
-  }
-  inclusive_scan_inplace(std::span<index_t>(rp).subspan(1));
-  std::vector<index_t> ci(static_cast<std::size_t>(a.nnz()));
-  std::vector<value_t> vv(static_cast<std::size_t>(a.nnz()));
-#pragma omp parallel for schedule(static)
-  for (index_t r = 0; r < n; ++r) {
-    const index_t old_r = perm[static_cast<std::size_t>(r)];
-    index_t w = rp[static_cast<std::size_t>(r)];
-    for (index_t k = a.row_begin(old_r); k < a.row_end(old_r); ++k, ++w) {
-      ci[static_cast<std::size_t>(w)] = a.col_idx()[static_cast<std::size_t>(k)];
-      vv[static_cast<std::size_t>(w)] = a.values()[static_cast<std::size_t>(k)];
-    }
-  }
-  return CsrMatrix(n, a.cols(), std::move(rp), std::move(ci), std::move(vv));
-}
-
-namespace {
-
-template <class Keep>
-CsrMatrix extract_if(const CsrMatrix& a, Keep keep) {
-  const index_t n = a.rows();
-  std::vector<index_t> rp(static_cast<std::size_t>(n) + 1, 0);
-  for (index_t r = 0; r < n; ++r) {
-    index_t cnt = 0;
-    for (index_t c : a.row_cols(r)) cnt += keep(r, c) ? 1 : 0;
-    rp[static_cast<std::size_t>(r) + 1] = cnt;
-  }
-  inclusive_scan_inplace(std::span<index_t>(rp).subspan(1));
-  std::vector<index_t> ci(static_cast<std::size_t>(rp.back()));
-  std::vector<value_t> vv(static_cast<std::size_t>(rp.back()));
-#pragma omp parallel for schedule(static)
-  for (index_t r = 0; r < n; ++r) {
-    index_t w = rp[static_cast<std::size_t>(r)];
-    for (index_t k = a.row_begin(r); k < a.row_end(r); ++k) {
-      const index_t c = a.col_idx()[static_cast<std::size_t>(k)];
-      if (!keep(r, c)) continue;
-      ci[static_cast<std::size_t>(w)] = c;
-      vv[static_cast<std::size_t>(w)] = a.values()[static_cast<std::size_t>(k)];
-      ++w;
-    }
-  }
-  return CsrMatrix(n, a.cols(), std::move(rp), std::move(ci), std::move(vv));
-}
-
-}  // namespace
-
-CsrMatrix extract_strict_lower(const CsrMatrix& a) {
-  return extract_if(a, [](index_t r, index_t c) { return c < r; });
-}
-CsrMatrix extract_strict_upper(const CsrMatrix& a) {
-  return extract_if(a, [](index_t r, index_t c) { return c > r; });
-}
-CsrMatrix extract_lower(const CsrMatrix& a) {
-  return extract_if(a, [](index_t r, index_t c) { return c <= r; });
-}
-CsrMatrix extract_upper(const CsrMatrix& a) {
-  return extract_if(a, [](index_t r, index_t c) { return c >= r; });
-}
-
 std::vector<index_t> diagonal_positions(const CsrMatrix& a) {
   JAVELIN_CHECK(a.square(), "diagonal_positions requires a square matrix");
   std::vector<index_t> pos(static_cast<std::size_t>(a.rows()));
@@ -394,12 +330,6 @@ value_t max_abs_difference(const CsrMatrix& a, const CsrMatrix& b) {
     }
   }
   return worst;
-}
-
-value_t frobenius_norm(const CsrMatrix& a) {
-  value_t s = 0;
-  for (value_t v : a.values()) s += v * v;
-  return std::sqrt(s);
 }
 
 std::vector<value_t> to_dense(const CsrMatrix& a) {

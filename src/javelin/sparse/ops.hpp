@@ -1,8 +1,8 @@
 // Structural operations on CSR matrices: transpose, symmetric permutation,
-// pattern symmetrization (A + Aᵀ), triangular extraction, and pattern
-// comparisons. These are the preprocessing primitives Javelin composes
-// (paper §III: level order of lower(A) or lower(A+Aᵀ), permutation into the
-// level ordering during the copy-fill phase).
+// pattern symmetrization (A + Aᵀ), and pattern comparisons. These are the
+// preprocessing primitives Javelin composes (paper §III: level order of
+// lower(A) or lower(A+Aᵀ), permutation into the level ordering during the
+// copy-fill phase).
 #pragma once
 
 #include <span>
@@ -17,6 +17,16 @@ namespace javelin {
 /// write windows); the output is uniquely determined, so every thread count
 /// produces bitwise-identical results.
 CsrMatrix transpose(const CsrMatrix& a);
+
+/// A sparsity pattern without values (row pointers + sorted column indices).
+struct CsrPattern {
+  std::vector<index_t> row_ptr;
+  std::vector<index_t> col_idx;
+};
+
+/// Pattern of Aᵀ: the same counting transpose as `transpose`, parallel on
+/// large inputs, without moving values (the RCM ordering's Aᵀ adjacency).
+CsrPattern transpose_pattern(const CsrMatrix& a);
 
 /// Sparse matrix product C = A·B via a two-pass hash-accumulator SpGEMM:
 /// a symbolic pass counts each output row's distinct columns with a dense
@@ -41,10 +51,6 @@ bool pattern_symmetric(const CsrMatrix& a);
 /// row perm[r] of A, and columns are relabelled by the inverse map.
 CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const index_t> perm);
 
-/// Row permutation P·A (new-to-old), columns untouched. Used by the
-/// Dulmage–Mendelsohn step which permutes rows to cover the diagonal.
-CsrMatrix permute_rows(const CsrMatrix& a, std::span<const index_t> perm);
-
 /// Invert a permutation: out[perm[i]] = i.
 std::vector<index_t> invert_permutation(std::span<const index_t> perm);
 
@@ -56,18 +62,6 @@ bool is_permutation(std::span<const index_t> perm);
 std::vector<index_t> compose_permutations(std::span<const index_t> first,
                                           std::span<const index_t> second);
 
-/// Strictly lower-triangular part (diagonal excluded).
-CsrMatrix extract_strict_lower(const CsrMatrix& a);
-
-/// Strictly upper-triangular part (diagonal excluded).
-CsrMatrix extract_strict_upper(const CsrMatrix& a);
-
-/// Lower-triangular part including diagonal.
-CsrMatrix extract_lower(const CsrMatrix& a);
-
-/// Upper-triangular part including diagonal.
-CsrMatrix extract_upper(const CsrMatrix& a);
-
 /// Position of each diagonal entry in the nonzero array; throws if a
 /// diagonal entry is structurally missing.
 std::vector<index_t> diagonal_positions(const CsrMatrix& a);
@@ -75,9 +69,6 @@ std::vector<index_t> diagonal_positions(const CsrMatrix& a);
 /// Max |a_ij - b_ij| over the union pattern (dense-free comparison helper for
 /// tests and benches).
 value_t max_abs_difference(const CsrMatrix& a, const CsrMatrix& b);
-
-/// Frobenius norm.
-value_t frobenius_norm(const CsrMatrix& a);
 
 /// Dense A*B for small validation problems in tests (n <= a few thousand).
 std::vector<value_t> dense_matmul(const CsrMatrix& a, const CsrMatrix& b);

@@ -85,7 +85,7 @@ void apply_candidate(Factorization& f, const TuneCandidate& c) {
   }
   if (c.hybrid) tag_narrow_levels(f);  // the default regime rule
   f.opts.tuned_threads = c.threads;
-  if (f.opts.verify_schedules) {
+  if (verify_schedules_enabled(f.opts)) {
     verify::verify_schedule_or_throw(f.fwd, lower_triangular_deps(f.lu),
                                      "tune fwd");
     verify::verify_schedule_or_throw(f.bwd, upper_triangular_deps(f.lu),

@@ -129,7 +129,7 @@ VerifyReport verify_retarget(const ExecSchedule& s, const DepsFn& deps,
                              int threads, index_t max_diagnostics = 64);
 
 /// Assertion form used by the build/retarget paths when
-/// IluOptions::verify_schedules is set: throws javelin::Error carrying the
+/// verify_schedules_enabled(opts) holds: throws javelin::Error carrying the
 /// report summary. `what` names the schedule ("fwd", "bwd retarget", ...).
 void verify_schedule_or_throw(const ExecSchedule& s, const DepsFn& deps,
                               const char* what);

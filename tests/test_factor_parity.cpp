@@ -20,10 +20,26 @@ using namespace javelin;
 namespace {
 
 /// Serial up-looking factorization on the SAME permuted pattern the parallel
-/// plan uses — the reference the parallel factor must match bitwise.
+/// plan uses — the reference the parallel factor must match bitwise. ILU(k>0)
+/// fill depends on the order, so under a preordering the reference builds
+/// the fill pattern of the ordered matrix P A Pᵀ, then applies the plan's
+/// level order on top (plan.perm = ordering ∘ level order).
 CsrMatrix serial_reference(const CsrMatrix& a, const Factorization& f) {
-  CsrMatrix s = ilu_symbolic(a, f.opts.fill_level);
-  CsrMatrix lu = permute_symmetric(s, f.plan.perm);
+  CsrMatrix lu;
+  if (f.opts.fill_level > 0 && f.plan.ordering != Ordering::kNatural) {
+    const std::vector<index_t> q = f.plan.ordering == Ordering::kRcm
+                                       ? rcm_order(a)
+                                       : nested_dissection_order(a);
+    const std::vector<index_t> q_inv = invert_permutation(q);
+    std::vector<index_t> level_order(f.plan.perm.size());
+    for (std::size_t i = 0; i < level_order.size(); ++i) {
+      level_order[i] = q_inv[static_cast<std::size_t>(f.plan.perm[i])];
+    }
+    const CsrMatrix s = ilu_symbolic(permute_symmetric(a, q), f.opts.fill_level);
+    lu = permute_symmetric(s, level_order);
+  } else {
+    lu = permute_symmetric(ilu_symbolic(a, f.opts.fill_level), f.plan.perm);
+  }
   const std::vector<index_t> diag = diagonal_positions(lu);
   ilu_factor_serial_inplace(lu, diag, f.opts);
   return lu;
@@ -33,10 +49,13 @@ Factorization check_parity(const char* name, const CsrMatrix& a,
                            IluOptions opts) {
   Factorization f = ilu_factor(a, opts);
   const CsrMatrix ref = serial_reference(a, f);
-  CHECK_MSG(javelin::test::bitwise_equal(f.lu.values(), ref.values()),
-            "%s method=%s threads=%d fill=%d", name,
+  CHECK_MSG(f.lu.row_ptr().size() == ref.row_ptr().size() &&
+                std::equal(f.lu.col_idx().begin(), f.lu.col_idx().end(),
+                           ref.col_idx().begin(), ref.col_idx().end()) &&
+                javelin::test::bitwise_equal(f.lu.values(), ref.values()),
+            "%s method=%s threads=%d fill=%d ordering=%s", name,
             lower_method_name(f.plan.method), f.plan.threads,
-            opts.fill_level);
+            opts.fill_level, ordering_name(f.plan.ordering));
   return f;
 }
 
@@ -167,9 +186,11 @@ int main() {
 
   // power_system: a few dense rows carry much of the lower-stage work, so
   // an even row-count split breaks the balance bound the work blocks keep.
+  // Natural order: that is where its lower stage holds the dense rows.
   {
     IluOptions opts;
     opts.num_threads = 4;
+    opts.ordering = Ordering::kNatural;
     const Factorization f = check_parity("power-dense", power, opts);
     const index_t n_lower = f.plan.num_lower_rows();
     offset_t heaviest_row = 0;

@@ -264,19 +264,30 @@ void check_lower_trace(const CsrMatrix& a) {
   ts.clear();
 }
 
-/// Setup attribution: every ilu_prepare phase is one span in a trace.
+/// Setup attribution: every ilu_prepare phase is one span in a trace. ILU(0)
+/// permutes A straight into the factor (no symbolic copy, the scatter map
+/// built in the same pass); ILU(1) runs the separate symbolic and
+/// scatter-map phases.
 void check_prepare_spans(const CsrMatrix& a) {
   obs::TraceSession& ts = obs::TraceSession::instance();
   ThreadCountGuard guard(4);
-  ts.clear();
-  ts.enable();
-  const Factorization f = ilu_prepare(a, base_opts(ExecBackend::kP2P, 4));
-  ts.disable();
-  for (const char* name :
-       {"prepare_symbolic", "prepare_plan", "prepare_permute",
-        "prepare_scatter_map", "prepare_fwd_schedule", "prepare_bwd_schedule",
-        "prepare_tags"}) {
-    CHECK_MSG(span_count(ts, name).first == 1, "%s spans != 1", name);
+  for (const int fill : {0, 1}) {
+    ts.clear();
+    ts.enable();
+    IluOptions opts = base_opts(ExecBackend::kP2P, 4);
+    opts.fill_level = fill;
+    const Factorization f = ilu_prepare(a, opts);
+    ts.disable();
+    for (const char* name :
+         {"prepare_order", "prepare_plan", "prepare_permute",
+          "prepare_fwd_schedule", "prepare_bwd_schedule", "prepare_tags"}) {
+      CHECK_MSG(span_count(ts, name).first == 1, "fill %d: %s spans != 1",
+                fill, name);
+    }
+    for (const char* name : {"prepare_symbolic", "prepare_scatter_map"}) {
+      CHECK_MSG(span_count(ts, name).first == (fill > 0 ? 1 : 0),
+                "fill %d: %s spans", fill, name);
+    }
   }
   ts.clear();
 }

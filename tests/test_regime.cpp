@@ -1,7 +1,8 @@
 // Tests of the default per-level regime rule (narrow_level_tags, installed
 // by ilu_prepare through tag_narrow_levels):
 //
-//   * deep suite matrices (TSOPF_RS_b300_c2, fem_filter) get default factors
+//   * deep suite matrices (TSOPF_RS_b300_c2, fem_filter, in natural order)
+//     get default factors
 //     whose tags are exactly the rule's verdict — both directions tagged at
 //     every team > 1, untagged at T = 1 — verifier-clean, and their
 //     ilu_apply, ilu_apply_spmv, ilu_apply_panel and pcg_many results are
@@ -41,6 +42,9 @@ gen::SuiteOptions small_scale() {
 IluOptions team_opts(int threads) {
   IluOptions opts;
   opts.num_threads = threads;
+  // The matrices are deep in natural order; the default preordering would
+  // give them wide levels and nothing to tag.
+  opts.ordering = Ordering::kNatural;
   opts.retarget_oversubscribed = false;
   return opts;
 }
