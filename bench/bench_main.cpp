@@ -158,9 +158,9 @@ BenchConfig parse_args(int argc, char** argv) {
   return cfg;
 }
 
-/// Schedule-shape statistics of one direction at one thread count (both
-/// backends share the structure; P2P synchronizes on `waits` spin-waits per
-/// sweep, barrier CSR-LS on `levels` barriers).
+/// Schedule-shape statistics of one direction at one thread count (P2P and
+/// all-barrier tags share the structure; P2P synchronizes on `waits`
+/// spin-waits per sweep, barrier CSR-LS on `levels` barriers).
 struct SchedStats {
   index_t levels = 0;
   index_t deps_total = 0;  // cross-thread dependencies before pruning
@@ -230,8 +230,8 @@ struct ThreadTimings {
   double refactor_s = 0;           // persistent scatter map path
   double scatter_map_s = 0;        // scatter alone, map path
   double scatter_searched_s = 0;   // scatter alone, seed path
-  double solve_s = 0;              // one ilu_apply, P2P backend
-  double solve_ls_s = 0;           // one ilu_apply, barrier CSR-LS backend
+  double solve_s = 0;              // one ilu_apply, default (P2P) tags
+  double solve_ls_s = 0;           // one ilu_apply, all levels kBarrier
   double spmv_s = 0;               // one partitioned spmv
   // Medians of the same measured repetitions (min above is the scalability
   // number; median - min is the run-to-run noise the min filtered out).
@@ -240,7 +240,7 @@ struct ThreadTimings {
   double solve_med_s = 0;
   double solve_ls_med_s = 0;
   double spmv_med_s = 0;
-  // Full ILU-PCG race per backend (symmetric entries; -1 = not run):
+  // Full ILU-PCG race P2P vs CSR-LS (symmetric entries; -1 = not run):
   double ilu_pcg_ls_s = -1;
   SchedStats fwd, bwd;             // schedule shape at this thread count
   VerifyBlock verify_fwd, verify_bwd;  // --verify results (absent otherwise)
@@ -326,7 +326,8 @@ RegionProfile region_profile(const obs::ExecStats& st) {
 }
 
 /// Per-matrix stall telemetry: the forward and backward sweep regions of one
-/// instrumented ilu_apply pass per backend. threads == 0 means not collected
+/// instrumented ilu_apply pass per sweep kind (default tags, all-barrier
+/// tags). threads == 0 means not collected
 /// (robust-only rows).
 struct StallProfile {
   int threads = 0;
@@ -379,7 +380,7 @@ struct MatrixReport {
   index_t ordered_levels = 0;
   double order_s = 0;
   int pcg_iterations = -1;   // ILU-Krylov on the 1st thread count (P2P)
-  int pcg_iterations_ls = -1;  // same solve under the barrier backend
+  int pcg_iterations_ls = -1;  // same solve with every level kBarrier
   int amg_iterations = -1;   // AMG-PCG (iteration counts are thread-invariant)
   int amg_levels = 0;
   double amg_operator_complexity = 0;
@@ -389,7 +390,7 @@ struct MatrixReport {
   /// Fused and unfused solver trajectories bitwise-identical, at every
   /// thread count and against the first thread count's solution.
   bool fused_parity = true;
-  /// P2P and barrier backends bitwise-identical (ilu_apply output and full
+  /// P2P and all-barrier sweeps bitwise-identical (ilu_apply output and full
   /// ILU-Krylov solution) at every thread count.
   bool backend_parity = true;
   /// Every throughput point bitwise equal to k independent scalar applies
@@ -457,7 +458,7 @@ SolveReport run_robust(MatrixReport& rep, const CsrMatrix& a) {
   return sr;
 }
 
-/// Instrumented pass at one thread count: ilu_apply under each backend with
+/// Instrumented pass at one thread count: ilu_apply under each sweep kind with
 /// an ExecObs attached (fresh factor copies — the timing sweep above must
 /// never run instrumented instantiations). Doubles as the traced pass when
 /// --trace is set: the session is enabled around it, so the sweep spans,
@@ -473,12 +474,12 @@ void collect_stall_profile(MatrixReport& rep, const Factorization& f,
   rep.stall.reps = cfg.reps;
   const auto r = random_vector(a.rows(), 0x0B5);
   std::vector<value_t> z(r.size());
-  for (const ExecBackend be : {ExecBackend::kP2P, ExecBackend::kBarrier}) {
+  for (const LevelRegime be : {LevelRegime::kP2P, LevelRegime::kBarrier}) {
     // The p2p profile keeps the factor's default policy (narrow levels
     // serialized on deep matrices): the schedules the timings and the
     // --verify blocks describe.
     Factorization fb = f;
-    if (be != fb.opts.exec_backend) set_exec_backend(fb, be);
+    if (be == LevelRegime::kBarrier) tag_all_levels(fb, be);
     obs::ExecObs eo;
     fb.opts.exec_obs = &eo;
     SolveWorkspace ws;
@@ -487,7 +488,7 @@ void collect_stall_profile(MatrixReport& rep, const Factorization& f,
     for (int i = 0; i < cfg.reps; ++i) ilu_apply(fb, r, z, ws);
     RegionProfile fwd = region_profile(eo.stats(obs::Region::kForward));
     RegionProfile bwd = region_profile(eo.stats(obs::Region::kBackward));
-    if (be == ExecBackend::kP2P) {
+    if (be == LevelRegime::kP2P) {
       rep.stall.p2p_fwd = std::move(fwd);
       rep.stall.p2p_bwd = std::move(bwd);
     } else {
@@ -518,7 +519,7 @@ void collect_stall_profile(MatrixReport& rep, const Factorization& f,
 }
 
 /// Factor-time autotuning at the widest sweep team: fresh factor, wall-clock
-/// grid over backend × team × blocking granule × hybrid regime mix (the
+/// grid over sync × team × blocking granule × hybrid regime mix (the
 /// serial candidate is the grid's anchor), winner pinned into the factor and
 /// re-measured on the real solve path. The tuned sweep is bitwise-checked
 /// against the serial reference — `autotune_parity` joins the exit gate, so
@@ -552,13 +553,13 @@ void run_autotune(MatrixReport& rep, const CsrMatrix& a,
   ab.threads = t_max;
   ab.chosen = tr.chosen.name();
   ab.chosen_threads = tr.chosen.threads;
-  ab.chosen_hybrid = tr.chosen.hybrid;
+  ab.chosen_hybrid = tr.chosen.sync == tune::TuneSync::kHybrid;
   ab.chosen_chunk_rows = tr.chosen.chunk_rows;
   ab.hybrid_applied = tr.hybrid_applied;
   ab.serial_s = tr.serial_seconds;
   for (const tune::TuneMeasurement& m : tr.measured) {
     ab.candidates.push_back({m.cand.name(), m.seconds});
-    if (!m.cand.hybrid &&
+    if (m.cand.sync != tune::TuneSync::kHybrid &&
         (ab.best_fixed.empty() || m.seconds < ab.best_fixed_s)) {
       ab.best_fixed = m.cand.name();
       ab.best_fixed_s = m.seconds;
@@ -669,7 +670,7 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
     if (ti == 0) {
       rep.levels = f.plan.total_levels;
       rep.rows_moved = f.plan.rows_moved;
-      rep.method = lower_method_name(f.plan.method);
+      rep.method = f.plan.rows_moved == 0 ? "none" : "ER";
       rep.ordering = ordering_name(f.plan.ordering);
       rep.natural_levels = f.plan.natural_levels;
       rep.ordered_levels = f.plan.ordered_levels;
@@ -700,12 +701,13 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
       tt.solve_med_s = rt.median_s;
     }
 
-    // Barrier (CSR-LS) baseline on the SAME factor — flip the backend tag
-    // (structure is shared), re-time the apply, and check bitwise parity
-    // against the P2P sweep. This is the paper's §VI per-sweep comparison.
+    // Barrier (CSR-LS) baseline on the SAME factor — tag every level
+    // kBarrier (structure is shared), re-time the apply, and check bitwise
+    // parity against the P2P sweep. This is the paper's §VI per-sweep
+    // comparison.
     {
       Factorization fb = f;  // schedule copy; retarget caches reset
-      set_exec_backend(fb, ExecBackend::kBarrier);
+      tag_all_levels(fb, LevelRegime::kBarrier);
       std::vector<value_t> zb(r.size());
       SolveWorkspace wsb;
       ilu_apply(fb, r, zb, wsb);  // warm
@@ -858,12 +860,12 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
     if (!rep.trimmed && e.paper_sym_pattern) {
       // Symmetric-pattern entries: full AMG-PCG vs ILU-PCG wall-time race at
       // every thread count (iteration counts are deterministic, so they are
-      // recorded once), with the ILU-PCG run under BOTH backends — same
+      // recorded once), with the ILU-PCG run under BOTH sweeps — same
       // factor, same trajectory, only the sweep synchronization differs.
       std::vector<value_t> x(r.size(), 0), x_ls(r.size(), 0);
       {
         Factorization fb = f;
-        set_exec_backend(fb, ExecBackend::kBarrier);
+        tag_all_levels(fb, LevelRegime::kBarrier);
         IluPreconditioner mb(std::move(fb));
         Timer ls_t;
         const SolverResult lres = pcg(a, r, x_ls, mb.fn(), sopts);
@@ -909,11 +911,11 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
         if (ti == 0) std::printf("  amg skipped: %s\n", err.what());
       }
     } else if (!rep.trimmed && ti == 0) {
-      // Unsymmetric entries: GMRES iteration counts + bitwise backend parity
+      // Unsymmetric entries: GMRES iteration counts + bitwise P2P/CSR-LS parity
       // recorded once (the per-sweep timing race above already runs at every
       // thread count).
       Factorization fb = f;
-      set_exec_backend(fb, ExecBackend::kBarrier);
+      tag_all_levels(fb, LevelRegime::kBarrier);
       IluPreconditioner mb(std::move(fb));
       IluPreconditioner m(std::move(f));
       std::vector<value_t> x(r.size(), 0), x_ls(r.size(), 0);
@@ -984,7 +986,7 @@ void write_json(const BenchConfig& cfg, const std::vector<MatrixReport>& reps) {
   // timings row — the static analyzer's happens-before coverage accounting,
   // whose direct/transitive split quantifies the wait sparsification.
   // schema_version 4 added per-matrix stall_profile (spin-wait / barrier
-  // telemetry of one instrumented pass per backend at the last thread
+  // telemetry of one instrumented pass per sweep kind at the last thread
   // count), *_med_s median timings next to the min-of-reps numbers, and
   // rows_per_level_{min,med,max,hist} in the sched_fwd/sched_bwd blocks;
   // 3 added the robust_* breakdown-retry trail and robust_only; 2 added

@@ -9,8 +9,8 @@ For every non-degenerate matrix row carrying an `autotune` block
     code also enforces this; the gate re-checks so a doctored JSON can't
     pass);
   * in wall-clock mode, the re-measured auto solve must not regress the best
-    FIXED candidate (serial or any uniform backend/team/granule point) by
-    more than --slack (default 10%), with a small absolute epsilon so
+    FIXED candidate (serial or any uniform P2P / all-barrier team/granule
+    point) by more than --slack (default 10%), with a small absolute epsilon so
     sub-100us solves on a noisy oversubscribed runner cannot flap the gate;
   * in cost-model mode (--verify runs) the timing gate is skipped — the
     grid numbers are dimensionless scores — but the block must still be

@@ -13,16 +13,18 @@ Checks, in order:
 With --bench BENCH.json (a schema >= 5 file from the same run, produced with
 both --trace and --verify), the dynamic telemetry is additionally
 cross-checked against the static analysis:
-  5. in every stall_profile, waits_immediate + waits_stalled == waits
-     (the spin-wait counters partition);
+  5. in every stall_profile (the `p2p` default sweep and the `barrier`
+     CSR-LS sweep), waits_immediate + waits_stalled == waits (the spin-wait
+     counters partition);
   6. for every matrix whose stall_profile and verifier stats are both
      present, the observed P2P wait count equals sweeps x waits_total as
      predicted by the verifier — the executed synchronization is exactly
      the statically proven wait set, no more and no less;
   7. (schema >= 6) verifier coverage splits exactly: direct + regime +
      transitive == cross-thread deps, nothing uncovered — regime coverage
-     is how hybrid (per-level backend) schedules account for the waits
-     their serial/barrier segments made redundant;
+     is how tagged schedules (serial or barrier levels; CSR-LS is every
+     level kBarrier) account for the waits their sync points made
+     redundant;
   8. (schema >= 6) every autotune block is self-consistent: parity true,
      the chosen candidate is in the measured grid, and the serial anchor
      candidate is present.

@@ -51,8 +51,8 @@ struct AmgOptions {
   int post_sweeps = 1;
   /// Options forwarded to the per-level ILU(0) smoother factorizations
   /// (fill_level is forced to 0; the smoother is a relaxation, not a solve).
-  /// This includes the execution backend and retarget policy, so AMG
-  /// smoothing sweeps ride the same exec/ layer as the standalone solves.
+  /// This includes the retarget and spin policies, so AMG smoothing sweeps
+  /// ride the same exec/ layer as the standalone solves.
   IluOptions smoother_ilu;
   /// Thread count the per-level ILU plans are built for; <= 0 means the
   /// OpenMP default.

@@ -1,20 +1,27 @@
-// Runtime execution of an ExecSchedule under either backend.
+// Runtime execution of an ExecSchedule: one executor, one loop.
 //
 // exec_run(s, row_fn, progress) launches one parallel region of s.threads
-// and drives row_fn(row, thread) in dependency order:
+// and drives row_fn(row, thread) in dependency order through the SEGMENT
+// WALK: the schedule's levels form contiguous same-regime segments
+// (ExecSchedule::level_tags; an untagged schedule is one kP2P segment), the
+// team barriers at every segment entry after the first, and each segment
+// runs its regime's protocol:
 //
 //   * kP2P: each thread walks its items; before an item it performs the
 //     item's sparsified spin-waits on the shared ProgressCounters, after it
 //     it publishes its own monotone counter — threads speed ahead of each
-//     other (paper §III-A).
-//   * kBarrier: each thread recomputes its contiguous slice of every level
-//     (the same partition_range slices the builder assigned) and the whole
-//     team crosses a spin barrier between levels — the CSR-LS baseline.
+//     other (paper §III-A). An untagged schedule pays no other sync.
+//   * kBarrier: each thread runs its contiguous slice of every level (the
+//     same partition_range slices the builder assigned) and the whole team
+//     crosses a spin barrier between levels. Every level tagged kBarrier is
+//     the CSR-LS baseline (paper §VI).
+//   * kSerial: thread 0 runs the segment's rows in level-major order.
 //
-// Both backends execute identical (row, thread) assignments with identical
-// per-row orders, so they are bitwise-interchangeable; only synchronization
-// differs. Teams of 1 — including schedules retargeted down to one thread —
-// run the serial level-major order with zero synchronization.
+// Every regime executes identical (row, thread) assignments with identical
+// per-row orders, so all tag mixes are bitwise-interchangeable; only
+// synchronization differs. Teams of 1 — including schedules retargeted down
+// to one thread — run the serial level-major order with zero
+// synchronization.
 //
 // If the OpenMP runtime delivers a SMALLER team than scheduled (nested
 // parallelism, thread limits), the region degrades to the serial order as a
@@ -35,8 +42,8 @@
 // Observability follows the same compile-time gating pattern: the region
 // body is one template, detail::exec_run_impl<Obs>. exec_run instantiates
 // it with detail::NoObs — every instrumentation site is an `if constexpr`
-// on Obs::kOn, so the default path compiles to exactly the historical loop
-// (no clock reads, no counter stores, no trace checks). exec_run_obs
+// on Obs::kOn, so the default path compiles to the bare loop (no clock
+// reads, no counter stores, no trace checks). exec_run_obs
 // instantiates with obs::SweepObs, which records per-thread spin-wait
 // counters, per-(thread, level) busy/wait time, and (when the trace
 // session is on) per-thread per-level spans — aggregated into the
@@ -64,8 +71,8 @@ enum class ExecOutcome : std::uint8_t {
 /// row recorded by the winning AbortFlag request — when a single row can
 /// fail (one bad pivot, one injected fault) this is deterministic, and it
 /// always lies in the earliest level that contains a failing row, because
-/// no thread passes a level whose barrier never completed (kBarrier) or
-/// consumes a publication that never happened (kP2P).
+/// no thread passes a barrier that never completed (kBarrier, segment
+/// entries) or consumes a publication that never happened (kP2P).
 struct ExecStatus {
   ExecOutcome outcome = ExecOutcome::kOk;
   index_t row = kInvalidIndex;
@@ -159,8 +166,7 @@ ExecStatus exec_run_serial_obs(const ExecSchedule& s, RowFn& row_fn,
 }
 
 /// The one region body both gating levels instantiate; see the header
-/// comment. Structure (and, for NoObs, codegen) matches the historical
-/// exec_run exactly.
+/// comment.
 template <class RowFn, class Obs>
 ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
                          ProgressCounters& progress, AbortFlag* external_abort,
@@ -183,12 +189,10 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
     }
   }
 
-  if (s.backend == ExecBackend::kP2P || s.hybrid()) {
-    if (progress.num_threads() < s.threads) {
-      progress.reset(s.threads);
-    } else {
-      progress.rearm();
-    }
+  if (progress.num_threads() < s.threads) {
+    progress.reset(s.threads);
+  } else {
+    progress.rearm();
   }
   SpinBarrier barrier(s.threads);
   bool fallback = false;
@@ -196,20 +200,18 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
   {
     // team_size() is uniform across the team, so every thread reaches the
     // same verdict locally — no single+barrier round just to agree on it.
-    // (Uniformity also keeps the level barriers below team-collective.)
+    // (Uniformity also keeps the segment barriers below team-collective.)
     if (team_size() < s.threads) {
       if (thread_id() == 0) fallback = true;  // sole writer
-    } else if (s.hybrid()) {
-      // Hybrid per-level regimes (the default narrow-level rule, or the
-      // tuner): contiguous same-tag level SEGMENTS, a team barrier at every
-      // segment entry, the regime's own protocol inside. Each thread
-      // advances its item cursor and publishes its progress counter across
-      // NON-P2P levels too, so P2P consumers in a later segment never spin
-      // on work a barrier or serial level already finished (their
-      // cross-segment waits were pruned to the regime floor by
-      // apply_level_tags — every surviving wait's producer is in the
-      // consumer's own P2P segment). Instrumented runs emit the same
-      // per-level spans and stall/barrier events as the uniform branches.
+    } else {
+      // The segment walk: contiguous same-tag level SEGMENTS, each run
+      // under its regime's protocol; an untagged schedule is one kP2P
+      // segment over every level. Each thread advances its item cursor and
+      // publishes its progress counter across NON-P2P levels too, so P2P
+      // consumers in a later segment never spin on work a barrier or serial
+      // level already finished (their cross-segment waits were pruned to
+      // the regime floor by apply_level_tags — every surviving wait's
+      // producer is in the consumer's own P2P segment).
       const int t = thread_id();
       const int spin_budget =
           s.spin_budget > 0 ? s.spin_budget : spin_budget_for(s.threads);
@@ -218,10 +220,9 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
       if constexpr (Obs::kOn) {
         if (obs.tracing()) buf = &obs::TraceSession::instance().buffer();
       }
-      // Items of this thread in level l (the builder's layout re-derived,
-      // exactly as the barrier branch re-derives its row slices) — for the
-      // per-level publishes of barrier segments; serial and P2P segments
-      // step over their items through the precomputed seg_items.
+      // Items of this thread in level l (the builder's layout re-derived)
+      // — for the per-level publishes of barrier segments; serial and P2P
+      // segments step over their items through the segment layout.
       const auto items_here = [&](index_t l) {
         const index_t lsz = s.level_ptr[static_cast<std::size_t>(l) + 1] -
                             s.level_ptr[static_cast<std::size_t>(l)];
@@ -269,22 +270,32 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
           }
         }
       };
-      // This thread's item counts before each segment (seg_items row t).
-      const std::size_t n_bounds = s.seg_level_ptr.size();
+      // Segment bounds (levels) and this thread's item counts before each
+      // segment: the stored layout of a tagged schedule, or the one segment
+      // of an untagged one.
+      const index_t lo = s.thread_ptr[static_cast<std::size_t>(t)];
+      const index_t whole_levels[2] = {0, s.num_levels};
+      const index_t whole_items[2] = {
+          0, s.thread_ptr[static_cast<std::size_t>(t) + 1] - lo};
+      const bool tagged = s.hybrid();
+      const std::size_t n_bounds = tagged ? s.seg_level_ptr.size() : 2;
+      const index_t* seg_level = tagged ? s.seg_level_ptr.data() : whole_levels;
       const index_t* seg_base =
-          s.seg_items.data() + static_cast<std::size_t>(t) * n_bounds;
-      index_t item = s.thread_ptr[static_cast<std::size_t>(t)];
+          tagged ? s.seg_items.data() + static_cast<std::size_t>(t) * n_bounds
+                 : whole_items;
+      index_t item = lo;
       index_t done = 0;
       bool live = true;
       for (std::size_t seg = 0; seg + 1 < n_bounds && live; ++seg) {
-        const index_t l = s.seg_level_ptr[seg];
-        const index_t seg_end = s.seg_level_ptr[seg + 1];
+        const index_t l = seg_level[seg];
+        const index_t seg_end = seg_level[seg + 1];
         const LevelRegime reg = s.level_regime(l);
         // Segment-entry barrier: orders this segment after everything
         // before it and makes the pre-segment counter publishes visible.
         // An aborted peer never arrives, so nothing past a poisoned
-        // segment boundary ever runs.
-        if (!cross_barrier(l)) break;
+        // segment boundary ever runs. Nothing precedes segment 0, and the
+        // region fork already orders progress.rearm() before it.
+        if (seg > 0 && !cross_barrier(l)) break;
         if (watch && abort->aborted()) break;
         if (reg == LevelRegime::kSerial) {
           // Thread 0 runs the whole segment's rows in serial order; the
@@ -310,6 +321,10 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
           done = seg_base[seg + 1];
           if (live) progress.publish(t, done);
         } else if (reg == LevelRegime::kBarrier) {
+          // CSR-LS: this thread's slice of each level, then the team
+          // barrier. A failed thread leaves without arriving, so no peer
+          // ever passes a poisoned level: they drain out of the
+          // abort-aware barrier wait instead.
           for (index_t lv = l; lv < seg_end; ++lv) {
             const index_t base = s.level_ptr[static_cast<std::size_t>(lv)];
             const index_t lsz =
@@ -353,6 +368,9 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
                 span_level = lvl;
               }
             }
+            // One merged wait list, then the whole row block — the
+            // spin-wait checks and the release store are amortized over
+            // chunk_rows rows.
             for (index_t w = s.wait_ptr[static_cast<std::size_t>(item)];
                  w < s.wait_ptr[static_cast<std::size_t>(item) + 1]; ++w) {
               const int pt = static_cast<int>(
@@ -394,6 +412,9 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
               obs.slot(t).busy_ns += static_cast<std::uint64_t>(w2 - w1);
               obs.add_level_busy(t, lvl, static_cast<std::uint64_t>(w2 - w1));
             }
+            // A failed item is never published, so consumers of any row in
+            // it (or after it) stall on the counter until they observe the
+            // flag.
             if (!live) break;
             ++done;
             progress.publish(t, done);
@@ -403,140 +424,6 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
               buf->end_at(obs.name(), obs::now_ns());
             }
           }
-        }
-      }
-    } else if (s.backend == ExecBackend::kBarrier) {
-      const int t = thread_id();
-      const int spin_budget =
-          s.spin_budget > 0 ? s.spin_budget : spin_budget_for(s.threads);
-      [[maybe_unused]] obs::TraceBuffer* buf = nullptr;
-      if constexpr (Obs::kOn) {
-        if (obs.tracing()) buf = &obs::TraceSession::instance().buffer();
-      }
-      for (index_t l = 0; l < s.num_levels; ++l) {
-        if (watch && abort->aborted()) break;
-        const index_t base = s.level_ptr[static_cast<std::size_t>(l)];
-        const index_t lsz = s.level_ptr[static_cast<std::size_t>(l) + 1] - base;
-        const Range rr = partition_range(lsz, s.threads, t);
-        std::int64_t t0 = 0;
-        if constexpr (Obs::kOn) t0 = obs::now_ns();
-        bool live = true;
-        for (index_t k = base + rr.begin; k < base + rr.end; ++k) {
-          const index_t row = s.serial_order[static_cast<std::size_t>(k)];
-          if (!exec_row(row_fn, row, t)) {
-            if (abort != nullptr) abort->request(row);
-            live = false;
-            break;
-          }
-        }
-        if constexpr (Obs::kOn) {
-          const std::int64_t t1 = obs::now_ns();
-          obs.add_level_busy(t, l, static_cast<std::uint64_t>(t1 - t0));
-          obs.slot(t).busy_ns += static_cast<std::uint64_t>(t1 - t0);
-          if (buf != nullptr) {
-            buf->begin_at(obs.name(), t0, l);
-            buf->end_at(obs.name(), t1);
-          }
-        }
-        // A failed thread leaves without arriving, so the barrier can never
-        // complete for this level: peers notice through the abort-aware
-        // wait and drain. No thread ever advances past a poisoned level.
-        if (!live) break;
-        if (watch && abort->aborted()) break;
-        if constexpr (Obs::kOn) {
-          const std::int64_t b0 = obs::now_ns();
-          const bool turned =
-              barrier.arrive_and_wait_counted(spin_budget, abort, obs.slot(t));
-          const std::int64_t b1 = obs::now_ns();
-          obs.slot(t).barrier_ns += static_cast<std::uint64_t>(b1 - b0);
-          obs.add_level_wait(t, l, static_cast<std::uint64_t>(b1 - b0));
-          if (buf != nullptr && b1 - b0 >= kStallSpanNs) {
-            buf->complete("barrier", b0, b1 - b0, l);
-          }
-          if (!turned) break;
-        } else {
-          if (!barrier.arrive_and_wait(spin_budget, abort)) break;
-        }
-      }
-    } else {
-      const int t = thread_id();
-      const int spin_budget =
-          s.spin_budget > 0 ? s.spin_budget : spin_budget_for(s.threads);
-      const index_t lo = s.thread_ptr[static_cast<std::size_t>(t)];
-      const index_t hi = s.thread_ptr[static_cast<std::size_t>(t) + 1];
-      [[maybe_unused]] obs::TraceBuffer* buf = nullptr;
-      [[maybe_unused]] index_t span_level = kInvalidIndex;
-      if constexpr (Obs::kOn) {
-        if (obs.tracing()) buf = &obs::TraceSession::instance().buffer();
-      }
-      index_t done = 0;
-      for (index_t i = lo; i < hi; ++i) {
-        if (watch && abort->aborted()) break;
-        [[maybe_unused]] index_t lvl = 0;
-        [[maybe_unused]] std::int64_t w0 = 0;
-        if constexpr (Obs::kOn) {
-          lvl = obs.item_level(i);
-          w0 = obs::now_ns();
-          // One span per contiguous run of same-level items per thread.
-          if (buf != nullptr && lvl != span_level) {
-            if (span_level != kInvalidIndex) buf->end_at(obs.name(), w0);
-            buf->begin_at(obs.name(), w0, lvl);
-            span_level = lvl;
-          }
-        }
-        // One merged wait list, then the whole row block — the spin-wait
-        // checks and the release store are amortized over chunk_rows rows.
-        bool live = true;
-        for (index_t w = s.wait_ptr[static_cast<std::size_t>(i)];
-             w < s.wait_ptr[static_cast<std::size_t>(i) + 1]; ++w) {
-          const int pt =
-              static_cast<int>(s.wait_thread[static_cast<std::size_t>(w)]);
-          const index_t pc = s.wait_count[static_cast<std::size_t>(w)];
-          bool arrived;
-          if constexpr (Obs::kOn) {
-            arrived = progress.wait_for_counted(pt, pc, spin_budget, abort,
-                                                obs.slot(t));
-          } else {
-            arrived = progress.wait_for(pt, pc, spin_budget, abort);
-          }
-          if (!arrived) {
-            live = false;
-            break;
-          }
-        }
-        [[maybe_unused]] std::int64_t w1 = 0;
-        if constexpr (Obs::kOn) {
-          w1 = obs::now_ns();
-          obs.slot(t).wait_ns += static_cast<std::uint64_t>(w1 - w0);
-          obs.add_level_wait(t, lvl, static_cast<std::uint64_t>(w1 - w0));
-          if (buf != nullptr && w1 - w0 >= kStallSpanNs) {
-            buf->complete("stall", w0, w1 - w0, lvl);
-          }
-        }
-        if (!live) break;
-        for (index_t k = s.item_ptr[static_cast<std::size_t>(i)];
-             k < s.item_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-          const index_t row = s.rows[static_cast<std::size_t>(k)];
-          if (!exec_row(row_fn, row, t)) {
-            if (abort != nullptr) abort->request(row);
-            live = false;
-            break;
-          }
-        }
-        if constexpr (Obs::kOn) {
-          const std::int64_t w2 = obs::now_ns();
-          obs.slot(t).busy_ns += static_cast<std::uint64_t>(w2 - w1);
-          obs.add_level_busy(t, lvl, static_cast<std::uint64_t>(w2 - w1));
-        }
-        // A failed item is never published, so consumers of any row in it
-        // (or after it) stall on the counter until they observe the flag.
-        if (!live) break;
-        ++done;
-        progress.publish(t, done);
-      }
-      if constexpr (Obs::kOn) {
-        if (buf != nullptr && span_level != kInvalidIndex) {
-          buf->end_at(obs.name(), obs::now_ns());
         }
       }
     }
@@ -565,8 +452,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
 /// schedule's team and re-armed (zeroed) otherwise, so callers that sweep
 /// thousands of times — the stri-per-Krylov-iteration profile, and the AMG
 /// smoother running stri at every level of every V-cycle — pay the
-/// threads×64B counter allocation once, not per sweep. (The barrier backend
-/// leaves `progress` untouched; it synchronizes through a stack barrier.)
+/// threads×64B counter allocation once, not per sweep.
 ///
 /// `external_abort`, when provided, is both observed (rows stop being
 /// issued once it is raised, waits give up) and raised on row failure, so

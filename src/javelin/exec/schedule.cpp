@@ -114,13 +114,12 @@ void build_sparsified_waits(int threads,
   }
 }
 
-ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
+ExecSchedule build_exec_schedule(index_t n_total,
                                  std::span<const index_t> level_ptr,
                                  std::span<const index_t> rows_by_level,
                                  const DepsFn& deps, int threads,
                                  index_t chunk_rows) {
   ExecSchedule s;
-  s.backend = backend;
   s.threads = std::max(1, threads);
   s.n_total = n_total;
   s.num_levels = static_cast<index_t>(level_ptr.size()) - 1;
@@ -136,9 +135,9 @@ ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
   // each (level, thread) slice into items of up to `chunk` rows, and record
   // (owner, item position) per row. Chunks never cross a level boundary —
   // that keeps every item's dependencies in strictly earlier items on every
-  // thread (deadlock freedom). The barrier executor recomputes the SAME
-  // slices from level_ptr at run time, so the two backends execute
-  // identical (row, thread) assignments.
+  // thread (deadlock freedom). Barrier levels recompute the SAME slices
+  // from level_ptr at run time, so every regime executes identical
+  // (row, thread) assignments.
   std::vector<index_t> row_count(static_cast<std::size_t>(T), 0);
   std::vector<index_t> item_count(static_cast<std::size_t>(T), 0);
   for (index_t l = 0; l < s.num_levels; ++l) {
@@ -200,8 +199,6 @@ ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
   // Pass 2: sparsified per-item wait lists. An item's need is the max over
   // all its rows; same-thread and unscheduled dependencies are filtered
   // here, the dedup + monotone pruning live in build_sparsified_waits.
-  // Built for either backend: the waits are what a later retarget() or
-  // backend switch relies on; the barrier executor just never reads them.
   build_sparsified_waits(
       T, s.thread_ptr, /*seed=*/{},
       [&](int t, index_t i,
@@ -234,9 +231,8 @@ ExecSchedule retarget(const ExecSchedule& s, const DepsFn& deps, int threads) {
   // Regime tags and the spin budget travel with the structure — a hybrid
   // schedule stays hybrid (with the floor pruning re-derived for the new
   // team) at any team size.
-  ExecSchedule r = build_exec_schedule(s.backend, s.n_total, s.level_ptr,
-                                       s.serial_order, deps, threads,
-                                       s.chunk_rows);
+  ExecSchedule r = build_exec_schedule(s.n_total, s.level_ptr, s.serial_order,
+                                       deps, threads, s.chunk_rows);
   r.spin_budget = s.spin_budget;
   if (!s.level_tags.empty()) apply_level_tags(r, deps, s.level_tags);
   return r;
@@ -262,8 +258,8 @@ void apply_level_tags(ExecSchedule& s, const DepsFn& deps,
     return b == static_cast<std::uint8_t>(LevelRegime::kP2P);
   });
   if (all_p2p) {
-    // Uniform P2P = the untagged schedule; keep the cheap representation so
-    // exec_run stays on the plain backend branches.
+    // Uniform P2P = the untagged schedule; keep the cheap representation
+    // (and the single-region fused paths that require it).
     s.level_tags.clear();
     s.seg_level_ptr.clear();
     s.seg_items.clear();
@@ -383,7 +379,7 @@ void build_regime_segments(const ExecSchedule& s,
 
 std::vector<std::uint8_t> narrow_level_tags(const ExecSchedule& s,
                                             index_t min_level_rows) {
-  if (s.backend != ExecBackend::kP2P || s.threads <= 1 ||
+  if (s.threads <= 1 ||
       s.small_level_row_frac(min_level_rows) < kNarrowRowFracMin) {
     return {};
   }
@@ -423,21 +419,21 @@ DepsFn upper_triangular_deps(const CsrMatrix& lu) {
 
 ExecSchedule build_upper_forward_schedule(const CsrMatrix& lu,
                                           std::span<const index_t> upper_level_ptr,
-                                          ExecBackend backend, int threads,
+                                          int threads,
                                           index_t chunk_rows) {
   const index_t n_upper = upper_level_ptr.empty() ? 0 : upper_level_ptr.back();
   // Levels are contiguous row ranges after the plan permutation; materialize
   // the identity listing.
   std::vector<index_t> rows(static_cast<std::size_t>(n_upper));
   for (index_t r = 0; r < n_upper; ++r) rows[static_cast<std::size_t>(r)] = r;
-  return build_exec_schedule(backend, lu.rows(), upper_level_ptr, rows,
+  return build_exec_schedule(lu.rows(), upper_level_ptr, rows,
                              lower_triangular_deps(lu), threads, chunk_rows);
 }
 
-ExecSchedule build_backward_schedule(const CsrMatrix& lu, ExecBackend backend,
-                                     int threads, index_t chunk_rows) {
+ExecSchedule build_backward_schedule(const CsrMatrix& lu, int threads,
+                                     index_t chunk_rows) {
   const LevelSets ls = compute_level_sets_upper(lu);
-  return build_exec_schedule(backend, lu.rows(), ls.level_ptr,
+  return build_exec_schedule(lu.rows(), ls.level_ptr,
                              ls.rows_by_level, upper_triangular_deps(lu),
                              threads, chunk_rows);
 }

@@ -1,11 +1,13 @@
-// Pluggable execution schedules for level-ordered row sweeps.
+// Execution schedules for level-ordered row sweeps.
 //
-// One build, two runtime backends (exec/run.hpp):
+// One build, one executor (exec/run.hpp), per-level synchronization
+// regimes (LevelRegime):
 //
-//   * kP2P — point-to-point level scheduling (paper §III-A, Fig. 4): rows of
-//     each level are mapped to threads in contiguous slices; each thread
-//     executes its rows level-by-level in a fixed order. That fixed order is
-//     the "implied ordering" that lets dependencies be pruned:
+//   * point-to-point level scheduling (paper §III-A, Fig. 4) — the untagged
+//     default: rows of each level are mapped to threads in contiguous
+//     slices; each thread executes its rows level-by-level in a fixed order.
+//     That fixed order is the "implied ordering" that lets dependencies be
+//     pruned:
 //       - same-thread dependencies vanish (program order),
 //       - per producer thread only the MAXIMUM needed schedule position is
 //         kept (its progress counter is monotone),
@@ -14,15 +16,18 @@
 //     At runtime an item performs at most (threads - 1) spin-waits on padded
 //     progress counters — no barriers, no tasks.
 //
-//   * kBarrier — the classic barrier-synchronized level-set sweep (CSR-LS):
-//     the SAME (level, thread) slices, but the team barriers between levels
-//     instead of spin-waiting on sparsified dependencies. This is the §VI
-//     baseline the point-to-point scheme is measured against.
+//   * per-level regime tags (apply_level_tags): a level tagged kSerial runs
+//     on thread 0 alone, a level tagged kBarrier is followed by a team
+//     barrier. Tagging every level kBarrier gives the classic
+//     barrier-synchronized level-set sweep (CSR-LS) — the SAME (level,
+//     thread) slices, with the team barriering between levels instead of
+//     spin-waiting on sparsified dependencies. This is the §VI baseline the
+//     point-to-point scheme is measured against.
 //
 // Rows are additionally blocked into ITEMS — chunks of up to chunk_rows
-// consecutive rows of one (level, thread) slice. For the P2P backend the
-// chunk is the synchronization granule: one merged wait list up front, one
-// counter publish at the end. Chunks never cross a level boundary, which
+// consecutive rows of one (level, thread) slice. For point-to-point levels
+// the chunk is the synchronization granule: one merged wait list up front,
+// one counter publish at the end. Chunks never cross a level boundary, which
 // keeps the schedule deadlock-free (an item's dependencies always live in
 // strictly earlier levels, hence strictly earlier items on every thread).
 //
@@ -39,13 +44,22 @@
 #include <span>
 #include <vector>
 
-#include "javelin/exec/backend.hpp"
 #include "javelin/sparse/csr.hpp"
 
 namespace javelin {
 
+/// Per-LEVEL synchronization regime (ExecSchedule::level_tags): one sweep
+/// may mix point-to-point levels, barrier-stepped levels and serialized
+/// levels. Every regime executes the SAME (level, thread) row slices in the
+/// same per-row order, so all mixes are bitwise-interchangeable; only the
+/// synchronization differs. Values are the stored tag bytes.
+enum class LevelRegime : unsigned char {
+  kP2P = 0,      ///< sparsified spin-waits within the segment
+  kBarrier = 1,  ///< team barrier after the level
+  kSerial = 2,   ///< thread 0 runs the level's rows alone
+};
+
 struct ExecSchedule {
-  ExecBackend backend = ExecBackend::kP2P;
   int threads = 1;
   index_t n_total = 0;     ///< dimension of the row-index space
   index_t chunk_rows = 0;  ///< blocking granule the schedule was built with
@@ -57,10 +71,11 @@ struct ExecSchedule {
   std::vector<index_t> item_ptr;
   std::vector<index_t> rows;
 
-  /// Sparsified waits, per ITEM (consumed by the P2P backend; the barrier
-  /// backend synchronizes with one barrier per level instead): before
-  /// executing item i, wait until wait_thread[w] has published wait_count[w]
-  /// items, for w in [wait_ptr[i], wait_ptr[i+1]).
+  /// Sparsified waits, per ITEM (consumed by point-to-point levels; the
+  /// waits barrier and serial levels already cover are pruned by
+  /// apply_level_tags): before executing item i, wait until wait_thread[w]
+  /// has published wait_count[w] items, for w in [wait_ptr[i],
+  /// wait_ptr[i+1]).
   std::vector<index_t> wait_ptr;
   std::vector<index_t> wait_thread;
   std::vector<index_t> wait_count;
@@ -73,12 +88,11 @@ struct ExecSchedule {
   std::vector<index_t> serial_order;
 
   /// Per-level synchronization regimes (LevelRegime bytes, one per level).
-  /// EMPTY means uniform execution under `backend` — the only state the
-  /// non-hybrid executor branches ever see. Non-empty (set through
-  /// apply_level_tags, which also prunes the waits each regime's sync
-  /// already covers) routes exec_run through the hybrid branch: contiguous
-  /// same-tag level SEGMENTS, a team barrier at every segment entry, the
-  /// regime's own protocol inside.
+  /// EMPTY means every level is kP2P: the executor runs the whole sweep as
+  /// one point-to-point segment. Non-empty (set through apply_level_tags,
+  /// which also prunes the waits each regime's sync already covers):
+  /// contiguous same-tag level SEGMENTS, a team barrier at every segment
+  /// entry after the first, the regime's own protocol inside.
   std::vector<std::uint8_t> level_tags;
   /// Segment layout of a hybrid schedule, derived from level_tags by
   /// apply_level_tags (empty when untagged): segment k covers levels
@@ -107,11 +121,9 @@ struct ExecSchedule {
   }
   bool hybrid() const noexcept { return !level_tags.empty(); }
   LevelRegime level_regime(index_t l) const noexcept {
-    return level_tags.empty()
-               ? (backend == ExecBackend::kBarrier ? LevelRegime::kBarrier
-                                                   : LevelRegime::kP2P)
-               : static_cast<LevelRegime>(
-                     level_tags[static_cast<std::size_t>(l)]);
+    return level_tags.empty() ? LevelRegime::kP2P
+                              : static_cast<LevelRegime>(
+                                    level_tags[static_cast<std::size_t>(l)]);
   }
 
   // --- level-shape statistics (tuner pruning heuristic + bench signal) -----
@@ -194,10 +206,9 @@ inline constexpr index_t kDefaultChunkRows = 32;
 /// Build a schedule from explicit level sets (level-major lists of rows).
 /// `levels_rows` / `levels_ptr` follow the LevelSets layout. `deps` is
 /// consulted once per row at build time. `chunk_rows` bounds the rows per
-/// item (blocking granule); values < 1 are clamped to 1. The wait lists are
-/// built for EITHER backend (they are what retarget() and a later backend
-/// switch rely on); the barrier executor simply never consults them.
-ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
+/// item (blocking granule); values < 1 are clamped to 1. The result is
+/// untagged (uniform point-to-point); apply_level_tags installs regimes.
+ExecSchedule build_exec_schedule(index_t n_total,
                                  std::span<const index_t> level_ptr,
                                  std::span<const index_t> rows_by_level,
                                  const DepsFn& deps, int threads,
@@ -217,16 +228,17 @@ ExecSchedule retarget(const ExecSchedule& s, const DepsFn& deps, int threads);
 /// pruned wait lists, so it is first rebuilt untagged from its retained level
 /// structure (`deps` must enumerate the dependencies it was built with) and
 /// the pruning starts from the full uniform waits — re-tagging is as safe as
-/// tagging a fresh build. The hybrid executor barriers at each
-/// same-tag segment entry (and after every kBarrier level), so a consumer in
+/// tagging a fresh build. The executor barriers at each same-tag segment
+/// entry (and after every kBarrier level), so a consumer in
 /// level lc is guaranteed every item in levels below its regime FLOOR —
 /// lc itself for kBarrier/kSerial levels, the segment's first level for kP2P
 /// — has been published before it starts; waits whose producer count is
 /// below that floor are deleted (deps_kept drops, deps_total is untouched).
 /// After pruning, every surviving wait's producer lives in the consumer's
 /// own P2P segment. An all-kP2P tag vector is normalized to "no tags"
-/// (uniform schedule). Deterministic: retarget() re-applies the tags after
-/// rebuilding, field-for-field identical to tagging a fresh build.
+/// (uniform schedule); an all-kBarrier vector prunes every wait (CSR-LS).
+/// Deterministic: retarget() re-applies the tags after rebuilding,
+/// field-for-field identical to tagging a fresh build.
 void apply_level_tags(ExecSchedule& s, const DepsFn& deps,
                       std::span<const std::uint8_t> tags);
 
@@ -249,7 +261,7 @@ inline constexpr double kNarrowRowFracMin = 0.10;
 /// `min_level_rows` rows (the planner's α) is too small to feed a team, so
 /// it runs as a kSerial level; wider levels keep their sparsified P2P waits.
 /// Returns the LevelRegime bytes for apply_level_tags, or an EMPTY vector —
-/// stay uniform — unless `s` is a kP2P schedule of more than one thread whose
+/// stay uniform — unless `s` is a schedule of more than one thread whose
 /// narrow levels hold at least kNarrowRowFracMin of its rows. A pure
 /// function of the schedule's shape, shared by ilu_prepare, the tuner's
 /// hybrid candidate and the tests.
@@ -268,13 +280,12 @@ DepsFn upper_triangular_deps(const CsrMatrix& lu);  ///< strictly-upper cols
 /// dependency structure — the co-design of paper §VI).
 ExecSchedule build_upper_forward_schedule(const CsrMatrix& lu,
                                           std::span<const index_t> upper_level_ptr,
-                                          ExecBackend backend, int threads,
+                                          int threads,
                                           index_t chunk_rows = kDefaultChunkRows);
 
 /// Backward schedule over ALL rows: dependencies are the strictly-upper
 /// columns of `lu`; levels computed on that pattern, processed high-to-low.
-ExecSchedule build_backward_schedule(const CsrMatrix& lu, ExecBackend backend,
-                                     int threads,
+ExecSchedule build_backward_schedule(const CsrMatrix& lu, int threads,
                                      index_t chunk_rows = kDefaultChunkRows);
 
 }  // namespace javelin

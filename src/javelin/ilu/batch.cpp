@@ -302,10 +302,10 @@ void ilu_apply_spmv_panel(const Factorization& f, const CsrMatrix& a,
   };
 
   if (s->hybrid()) {
-    // Hybrid (per-level regime) backward schedule: run the panel backward
-    // sweep through exec_run's hybrid branch (scatter fused into the row
-    // fn), then the panel SpMV in a second region — the panel mirror of the
-    // scalar hybrid path in fused.cpp. The hook-free variant keeps the
+    // Tagged backward schedule (narrow levels serialized, or CSR-LS): run the
+    // panel backward sweep through exec_run's segment walk (scatter fused into
+    // the row fn), then the panel SpMV in a second region — the panel mirror of
+    // the scalar tagged path in fused.cpp. The hook-free variant keeps the
     // void-returning row fn so its waits stay on the no-polling path.
     if (hook) {
       const ExecStatus bst = exec_run(
@@ -326,14 +326,11 @@ void ilu_apply_spmv_panel(const Factorization& f, const CsrMatrix& a,
   bool fallback = false;
   {
     ProgressCounters& progress = ws.progress;
-    if (s->backend == ExecBackend::kP2P) {
-      if (progress.num_threads() < s->threads) {
-        progress.reset(s->threads);
-      } else {
-        progress.rearm();
-      }
+    if (progress.num_threads() < s->threads) {
+      progress.reset(s->threads);
+    } else {
+      progress.rearm();
     }
-    SpinBarrier level_barrier(s->threads);
     // One region for the panel backward sweep AND the panel SpMV — the panel
     // mirror of ilu_apply_spmv's region (fused.cpp); keep the
     // synchronization structure in sync with it when changing either.
@@ -346,95 +343,59 @@ void ilu_apply_spmv_panel(const Factorization& f, const CsrMatrix& a,
         const int spin_budget =
             s->spin_budget > 0 ? s->spin_budget : spin_budget_for(s->threads);
         bool live = true;
-        if (s->backend == ExecBackend::kBarrier) {
-          for (index_t l = 0; l < s->num_levels && live; ++l) {
-            if (ab != nullptr && ab->aborted()) {
+        index_t done = 0;
+        for (index_t i = s->thread_ptr[static_cast<std::size_t>(tid)];
+             i < s->thread_ptr[static_cast<std::size_t>(tid) + 1] && live;
+             ++i) {
+          if (ab != nullptr && ab->aborted()) {
+            live = false;
+            break;
+          }
+          for (index_t w = s->wait_ptr[static_cast<std::size_t>(i)];
+               w < s->wait_ptr[static_cast<std::size_t>(i) + 1]; ++w) {
+            if (!progress.wait_for(
+                    static_cast<int>(
+                        s->wait_thread[static_cast<std::size_t>(w)]),
+                    s->wait_count[static_cast<std::size_t>(w)], spin_budget,
+                    ab)) {
               live = false;
               break;
             }
-            const index_t base = s->level_ptr[static_cast<std::size_t>(l)];
-            const index_t lsz =
-                s->level_ptr[static_cast<std::size_t>(l) + 1] - base;
-            const Range rr = partition_range(lsz, s->threads, tid);
-            for (index_t pos = base + rr.begin; pos < base + rr.end; ++pos) {
-              if (!backward_scatter_row(
-                      s->serial_order[static_cast<std::size_t>(pos)])) {
-                live = false;
-                break;
-              }
-            }
-            // A failed thread never arrives, so no peer passes this level:
-            // they drain out of the abort-aware barrier wait instead.
-            if (!live) break;
-            if (!level_barrier.arrive_and_wait(spin_budget, ab)) live = false;
           }
-          if (live && !(ab != nullptr && ab->aborted())) {
-            for (index_t c = chunks->thread_ptr[static_cast<std::size_t>(tid)];
-                 c < chunks->thread_ptr[static_cast<std::size_t>(tid) + 1];
-                 ++c) {
-              for (index_t row =
-                       chunks->chunk_begin[static_cast<std::size_t>(c)];
-                   row < chunks->chunk_end[static_cast<std::size_t>(c)];
-                   ++row) {
-                spmv_panel_row(row);
-              }
-            }
-          }
-        } else {
-          index_t done = 0;
-          for (index_t i = s->thread_ptr[static_cast<std::size_t>(tid)];
-               i < s->thread_ptr[static_cast<std::size_t>(tid) + 1] && live;
-               ++i) {
-            if (ab != nullptr && ab->aborted()) {
+          if (!live) break;
+          for (index_t pos = s->item_ptr[static_cast<std::size_t>(i)];
+               pos < s->item_ptr[static_cast<std::size_t>(i) + 1]; ++pos) {
+            if (!backward_scatter_row(
+                    s->rows[static_cast<std::size_t>(pos)])) {
               live = false;
               break;
             }
-            for (index_t w = s->wait_ptr[static_cast<std::size_t>(i)];
-                 w < s->wait_ptr[static_cast<std::size_t>(i) + 1]; ++w) {
-              if (!progress.wait_for(
-                      static_cast<int>(
-                          s->wait_thread[static_cast<std::size_t>(w)]),
-                      s->wait_count[static_cast<std::size_t>(w)], spin_budget,
-                      ab)) {
-                live = false;
-                break;
-              }
-            }
-            if (!live) break;
-            for (index_t pos = s->item_ptr[static_cast<std::size_t>(i)];
-                 pos < s->item_ptr[static_cast<std::size_t>(i) + 1]; ++pos) {
-              if (!backward_scatter_row(
-                      s->rows[static_cast<std::size_t>(pos)])) {
-                live = false;
-                break;
-              }
-            }
-            // A failed item is never published: chunk waits on it observe
-            // the flag and drain instead of spinning forever.
-            if (!live) break;
-            ++done;
-            progress.publish(tid, done);
           }
-          for (index_t c = chunks->thread_ptr[static_cast<std::size_t>(tid)];
-               c < chunks->thread_ptr[static_cast<std::size_t>(tid) + 1] &&
-               live;
-               ++c) {
-            for (index_t w = chunks->wait_ptr[static_cast<std::size_t>(c)];
-                 w < chunks->wait_ptr[static_cast<std::size_t>(c) + 1]; ++w) {
-              if (!progress.wait_for(
-                      static_cast<int>(
-                          chunks->wait_thread[static_cast<std::size_t>(w)]),
-                      chunks->wait_count[static_cast<std::size_t>(w)],
-                      spin_budget, ab)) {
-                live = false;
-                break;
-              }
+          // A failed item is never published: chunk waits on it observe
+          // the flag and drain instead of spinning forever.
+          if (!live) break;
+          ++done;
+          progress.publish(tid, done);
+        }
+        for (index_t c = chunks->thread_ptr[static_cast<std::size_t>(tid)];
+             c < chunks->thread_ptr[static_cast<std::size_t>(tid) + 1] &&
+             live;
+             ++c) {
+          for (index_t w = chunks->wait_ptr[static_cast<std::size_t>(c)];
+               w < chunks->wait_ptr[static_cast<std::size_t>(c) + 1]; ++w) {
+            if (!progress.wait_for(
+                    static_cast<int>(
+                        chunks->wait_thread[static_cast<std::size_t>(w)]),
+                    chunks->wait_count[static_cast<std::size_t>(w)],
+                    spin_budget, ab)) {
+              live = false;
+              break;
             }
-            if (!live) break;
-            for (index_t row = chunks->chunk_begin[static_cast<std::size_t>(c)];
-                 row < chunks->chunk_end[static_cast<std::size_t>(c)]; ++row) {
-              spmv_panel_row(row);
-            }
+          }
+          if (!live) break;
+          for (index_t row = chunks->chunk_begin[static_cast<std::size_t>(c)];
+               row < chunks->chunk_end[static_cast<std::size_t>(c)]; ++row) {
+            spmv_panel_row(row);
           }
         }
       }

@@ -18,8 +18,9 @@
 //
 // The standing bitwise guarantee extends to this path: a batched solve of k
 // right-hand sides is bitwise equal to k independent scalar solves, at every
-// thread count, under both exec backends, fused and unfused — column j's
-// accumulation order is the scalar order by construction (test_batch).
+// thread count, under every level-regime tagging, fused and unfused —
+// column j's accumulation order is the scalar order by construction
+// (test_batch).
 #pragma once
 
 #include <memory>
@@ -48,7 +49,7 @@ inline index_t batch_rhs_of(const Factorization& f) noexcept {
 /// stored column-major (R and Z are n×k, column stride n, ORIGINAL row
 /// ordering; they must not overlap). Column j is bitwise equal to
 /// ilu_apply(f, column j of R, column j of Z, ws) at every thread count and
-/// backend. Throws when k < 1 or a span is smaller than n×k. Thread-safe
+/// level tagging. Throws when k < 1 or a span is smaller than n×k. Thread-safe
 /// across distinct workspaces.
 void ilu_apply_panel(const Factorization& f, std::span<const value_t> r,
                      std::span<value_t> z, index_t k, SolveWorkspace& ws);

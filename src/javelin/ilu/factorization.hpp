@@ -1,7 +1,8 @@
 // The complete Javelin factorization object: symbolic pattern, two-stage
 // plan, execution schedules (factorization + forward solve share one;
-// backward solve has its own; both run under the pluggable exec/ backend —
-// P2P spin-waits or barrier CSR-LS), and the numeric factor itself. Built
+// backward solve has its own; both run on the one exec/ executor, P2P
+// spin-waits unless levels are tagged serial or barrier), and the numeric
+// factor itself. Built
 // once, then reused by thousands of triangular solves (paper §VI: "the
 // incomplete factorization may only be formed once, but stri may be called
 // thousands of times").
@@ -80,8 +81,7 @@ struct Factorization {
   CsrMatrix lu;
   std::vector<index_t> diag_pos;
 
-  /// Upper-stage schedule (factorization + forward solve), built for the
-  /// backend opts.exec_backend selects.
+  /// Upper-stage schedule (factorization + forward solve).
   ExecSchedule fwd;
   /// Backward-solve schedule over all rows.
   ExecSchedule bwd;
@@ -92,9 +92,6 @@ struct Factorization {
   /// nonzero count (mark + scan) plus the U-row lengths its upper-column
   /// entries update. lower_row_block cuts it for any team at run time.
   std::vector<offset_t> lower_work;
-  /// Barrier level-set schedule of the corner block, over LOCAL row indices
-  /// [0, num_lower_rows) (only when opts.parallel_corner).
-  ExecSchedule corner;
   /// Retargeted schedules for a refactorization team that differs from the
   /// plan (ilu_factor_numeric); solves cache in their workspace instead.
   ScheduleCache numeric_cache;
@@ -199,12 +196,13 @@ int runtime_team(const Factorization& f);
 const ExecSchedule& runtime_fwd(const Factorization& f, ScheduleCache& cache);
 const ExecSchedule& runtime_bwd(const Factorization& f, ScheduleCache& cache);
 
-/// Flip every schedule of `f` (and its option block) to `backend` in place —
-/// legal at any time because both backends share one schedule structure
-/// (the bench uses this to race P2P against CSR-LS on one factor). The
-/// result is UNIFORM: regime tags are dropped, so set_exec_backend(f, kP2P)
-/// pins the paper's pure point-to-point sweeps on a default factor.
-void set_exec_backend(Factorization& f, ExecBackend backend);
+/// Tag every level of f.fwd and f.bwd with `regime` in place (apply_level_tags
+/// rebuilds the waits a previous tagging pruned). Legal at any time: every
+/// regime runs the same (level, thread) slices, so results do not change.
+/// kBarrier gives the CSR-LS baseline (the bench races it against P2P on
+/// one factor); kP2P drops all tags and pins the paper's pure
+/// point-to-point sweeps on a default factor.
+void tag_all_levels(Factorization& f, LevelRegime regime);
 
 /// Install the default per-level regimes on f.fwd and f.bwd:
 /// narrow_level_tags at the plan's α (plan.min_level_rows). A direction the

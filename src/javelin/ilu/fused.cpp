@@ -280,9 +280,7 @@ void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
   const ExecSchedule* fsched = rt.fwd;
   if (chunks->fwd_synced && !hook && f.opts.exec_obs == nullptr &&
       fsched != nullptr && fsched->threads == s->threads &&
-      f.plan.num_lower_rows() == 0 && s->backend == ExecBackend::kP2P &&
-      !s->hybrid() && fsched->backend == ExecBackend::kP2P &&
-      !fsched->hybrid()) {
+      f.plan.num_lower_rows() == 0 && !s->hybrid() && !fsched->hybrid()) {
     ProgressCounters& fprog = ws.progress_fwd;
     ProgressCounters& bprog = ws.progress;
     if (fprog.num_threads() < s->threads) {
@@ -397,13 +395,13 @@ void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
   if (!fst.ok()) throw_fused_abort(fst.row);
 
   if (s->hybrid()) {
-    // Hybrid (per-level regime) backward schedule: the fused region's sweep
-    // halves below mirror only the uniform backends, so route the backward
-    // sweep through exec_run — whose hybrid branch owns the cross-regime
-    // handoff protocol — with the z scatter fused into the row loop, then
-    // multiply A in a second region. One extra join versus the uniform
-    // fused pass; accumulation orders unchanged, so the result stays
-    // bitwise equal to the unfused pair.
+    // Tagged backward schedule (narrow levels serialized, or CSR-LS with
+    // every level kBarrier): the fused region below runs only uniform P2P
+    // sweeps, so route the backward sweep through exec_run — whose segment
+    // walk owns every regime's protocol — with the z scatter fused into the
+    // row loop, then multiply A in a second region. One extra join versus
+    // the uniform fused pass; accumulation orders unchanged, so the result
+    // stays bitwise equal to the unfused pair.
     const auto backward_scatter_row = [&](index_t row) {
       backward_row(lu, f.diag_pos, row, x);
       z[static_cast<std::size_t>(perm[static_cast<std::size_t>(row)])] =
@@ -453,22 +451,19 @@ void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
   bool fallback = false;
   {
     ProgressCounters& progress = ws.progress;
-    if (s->backend == ExecBackend::kP2P) {
-      if (progress.num_threads() < s->threads) {
-        progress.reset(s->threads);
-      } else {
-        progress.rearm();
-      }
+    if (progress.num_threads() < s->threads) {
+      progress.reset(s->threads);
+    } else {
+      progress.rearm();
     }
-    SpinBarrier level_barrier(s->threads);
     // One region for the backward sweep AND the SpMV: each thread solves its
     // backward items (scattering finished entries straight into z), then
     // streams its A-row chunks behind the sweep — guarded by sparsified
-    // waits on the same counters (P2P) or by the final level barrier
-    // (CSR-LS). The sweep halves mirror exec_run (exec/run.hpp) with the
-    // scatter fused into the row loop and the SpMV epilogue interleaved on
-    // the same counters — keep the synchronization structure (including the
-    // abort protocol) in sync with exec_run when changing either.
+    // waits on the same counters. The sweep half mirrors exec_run's P2P
+    // segment (exec/run.hpp) with the scatter fused into the row loop and
+    // the SpMV epilogue interleaved on the same counters — keep the
+    // synchronization structure (including the abort protocol) in sync with
+    // exec_run when changing either.
     const auto fused_thread = [&](const int tid, auto obs_on) {
       constexpr bool kObs = decltype(obs_on)::value;
       const int spin_budget =
@@ -492,146 +487,91 @@ void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
         return true;
       };
       bool live = true;
-      if (s->backend == ExecBackend::kBarrier) {
-        for (index_t l = 0; l < s->num_levels && live; ++l) {
-          if (ab != nullptr && ab->aborted()) {
-            live = false;
-            break;
-          }
-          const index_t base = s->level_ptr[static_cast<std::size_t>(l)];
-          const index_t lsz =
-              s->level_ptr[static_cast<std::size_t>(l) + 1] - base;
-          const Range rr = partition_range(lsz, s->threads, tid);
-          for (index_t k = base + rr.begin; k < base + rr.end; ++k) {
-            if (!backward_scatter(
-                    s->serial_order[static_cast<std::size_t>(k)])) {
-              live = false;
-              break;
-            }
-          }
-          // A failed thread never arrives, so no peer passes this level:
-          // they drain out of the abort-aware barrier wait instead.
-          if (!live) break;
+      index_t done = 0;
+      for (index_t i = s->thread_ptr[static_cast<std::size_t>(tid)];
+           i < s->thread_ptr[static_cast<std::size_t>(tid) + 1] && live;
+           ++i) {
+        if (ab != nullptr && ab->aborted()) {
+          live = false;
+          break;
+        }
+        [[maybe_unused]] std::int64_t w0 = 0;
+        if constexpr (kObs) w0 = obs::now_ns();
+        for (index_t w = s->wait_ptr[static_cast<std::size_t>(i)];
+             w < s->wait_ptr[static_cast<std::size_t>(i) + 1]; ++w) {
+          const int pt =
+              static_cast<int>(s->wait_thread[static_cast<std::size_t>(w)]);
+          const index_t pc = s->wait_count[static_cast<std::size_t>(w)];
+          bool arrived;
           if constexpr (kObs) {
-            const std::int64_t b0 = obs::now_ns();
-            const bool turned = level_barrier.arrive_and_wait_counted(
-                spin_budget, ab, so->slot(tid));
-            const std::int64_t b1 = obs::now_ns();
-            so->slot(tid).barrier_ns += static_cast<std::uint64_t>(b1 - b0);
-            sync_ns += static_cast<std::uint64_t>(b1 - b0);
-            if (!turned) live = false;
+            arrived = progress.wait_for_counted(pt, pc, spin_budget, ab,
+                                                so->slot(tid));
           } else {
-            if (!level_barrier.arrive_and_wait(spin_budget, ab)) live = false;
+            arrived = progress.wait_for(pt, pc, spin_budget, ab);
           }
-        }
-        if constexpr (kObs) {
-          if (buf != nullptr) {
-            const std::int64_t mid = obs::now_ns();
-            buf->end_at("fused_bwd", mid);
-            buf->begin_at("fused_spmv", mid);
-          }
-        }
-        // The last level barrier ordered every z entry before this point;
-        // the SpMV chunks run unguarded. An aborted sweep skips them.
-        if (live && !(ab != nullptr && ab->aborted())) {
-          for (index_t c = chunks->thread_ptr[static_cast<std::size_t>(tid)];
-               c < chunks->thread_ptr[static_cast<std::size_t>(tid) + 1];
-               ++c) {
-            for (index_t row =
-                     chunks->chunk_begin[static_cast<std::size_t>(c)];
-                 row < chunks->chunk_end[static_cast<std::size_t>(c)];
-                 ++row) {
-              t[static_cast<std::size_t>(row)] = spmv_row(a, row, z);
-            }
-          }
-        }
-      } else {
-        index_t done = 0;
-        for (index_t i = s->thread_ptr[static_cast<std::size_t>(tid)];
-             i < s->thread_ptr[static_cast<std::size_t>(tid) + 1] && live;
-             ++i) {
-          if (ab != nullptr && ab->aborted()) {
+          if (!arrived) {
             live = false;
             break;
           }
-          [[maybe_unused]] std::int64_t w0 = 0;
-          if constexpr (kObs) w0 = obs::now_ns();
-          for (index_t w = s->wait_ptr[static_cast<std::size_t>(i)];
-               w < s->wait_ptr[static_cast<std::size_t>(i) + 1]; ++w) {
-            const int pt =
-                static_cast<int>(s->wait_thread[static_cast<std::size_t>(w)]);
-            const index_t pc = s->wait_count[static_cast<std::size_t>(w)];
-            bool arrived;
-            if constexpr (kObs) {
-              arrived = progress.wait_for_counted(pt, pc, spin_budget, ab,
-                                                  so->slot(tid));
-            } else {
-              arrived = progress.wait_for(pt, pc, spin_budget, ab);
-            }
-            if (!arrived) {
-              live = false;
-              break;
-            }
-          }
-          if constexpr (kObs) {
-            const std::int64_t w1 = obs::now_ns();
-            so->slot(tid).wait_ns += static_cast<std::uint64_t>(w1 - w0);
-            sync_ns += static_cast<std::uint64_t>(w1 - w0);
-          }
-          if (!live) break;
-          for (index_t k = s->item_ptr[static_cast<std::size_t>(i)];
-               k < s->item_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-            if (!backward_scatter(s->rows[static_cast<std::size_t>(k)])) {
-              live = false;
-              break;
-            }
-          }
-          // A failed item is never published: chunk waits on it observe
-          // the flag and drain instead of spinning forever.
-          if (!live) break;
-          ++done;
-          progress.publish(tid, done);
         }
         if constexpr (kObs) {
-          if (buf != nullptr) {
-            const std::int64_t mid = obs::now_ns();
-            buf->end_at("fused_bwd", mid);
-            buf->begin_at("fused_spmv", mid);
+          const std::int64_t w1 = obs::now_ns();
+          so->slot(tid).wait_ns += static_cast<std::uint64_t>(w1 - w0);
+          sync_ns += static_cast<std::uint64_t>(w1 - w0);
+        }
+        if (!live) break;
+        for (index_t k = s->item_ptr[static_cast<std::size_t>(i)];
+             k < s->item_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
+          if (!backward_scatter(s->rows[static_cast<std::size_t>(k)])) {
+            live = false;
+            break;
           }
         }
-        for (index_t c = chunks->thread_ptr[static_cast<std::size_t>(tid)];
-             c < chunks->thread_ptr[static_cast<std::size_t>(tid) + 1] &&
-             live;
-             ++c) {
-          [[maybe_unused]] std::int64_t w0 = 0;
-          if constexpr (kObs) w0 = obs::now_ns();
-          for (index_t w = chunks->wait_ptr[static_cast<std::size_t>(c)];
-               w < chunks->wait_ptr[static_cast<std::size_t>(c) + 1]; ++w) {
-            const int pt = static_cast<int>(
-                chunks->wait_thread[static_cast<std::size_t>(w)]);
-            const index_t pc = chunks->wait_count[static_cast<std::size_t>(w)];
-            bool arrived;
-            if constexpr (kObs) {
-              arrived = progress.wait_for_counted(pt, pc, spin_budget, ab,
-                                                  so->slot(tid));
-            } else {
-              arrived = progress.wait_for(pt, pc, spin_budget, ab);
-            }
-            if (!arrived) {
-              live = false;
-              break;
-            }
-          }
+        // A failed item is never published: chunk waits on it observe
+        // the flag and drain instead of spinning forever.
+        if (!live) break;
+        ++done;
+        progress.publish(tid, done);
+      }
+      if constexpr (kObs) {
+        if (buf != nullptr) {
+          const std::int64_t mid = obs::now_ns();
+          buf->end_at("fused_bwd", mid);
+          buf->begin_at("fused_spmv", mid);
+        }
+      }
+      for (index_t c = chunks->thread_ptr[static_cast<std::size_t>(tid)];
+           c < chunks->thread_ptr[static_cast<std::size_t>(tid) + 1] &&
+           live;
+           ++c) {
+        [[maybe_unused]] std::int64_t w0 = 0;
+        if constexpr (kObs) w0 = obs::now_ns();
+        for (index_t w = chunks->wait_ptr[static_cast<std::size_t>(c)];
+             w < chunks->wait_ptr[static_cast<std::size_t>(c) + 1]; ++w) {
+          const int pt = static_cast<int>(
+              chunks->wait_thread[static_cast<std::size_t>(w)]);
+          const index_t pc = chunks->wait_count[static_cast<std::size_t>(w)];
+          bool arrived;
           if constexpr (kObs) {
-            const std::int64_t w1 = obs::now_ns();
-            so->slot(tid).wait_ns += static_cast<std::uint64_t>(w1 - w0);
-            sync_ns += static_cast<std::uint64_t>(w1 - w0);
+            arrived = progress.wait_for_counted(pt, pc, spin_budget, ab,
+                                                so->slot(tid));
+          } else {
+            arrived = progress.wait_for(pt, pc, spin_budget, ab);
           }
-          if (!live) break;
-          for (index_t row = chunks->chunk_begin[static_cast<std::size_t>(c)];
-               row < chunks->chunk_end[static_cast<std::size_t>(c)]; ++row) {
-            t[static_cast<std::size_t>(row)] = spmv_row(a, row, z);
+          if (!arrived) {
+            live = false;
+            break;
           }
+        }
+        if constexpr (kObs) {
+          const std::int64_t w1 = obs::now_ns();
+          so->slot(tid).wait_ns += static_cast<std::uint64_t>(w1 - w0);
+          sync_ns += static_cast<std::uint64_t>(w1 - w0);
+        }
+        if (!live) break;
+        for (index_t row = chunks->chunk_begin[static_cast<std::size_t>(c)];
+             row < chunks->chunk_end[static_cast<std::size_t>(c)]; ++row) {
+          t[static_cast<std::size_t>(row)] = spmv_row(a, row, z);
         }
       }
       if constexpr (kObs) {

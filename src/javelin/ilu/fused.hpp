@@ -26,10 +26,10 @@
 // while every row keeps its fixed CSR-order accumulation — the fused and
 // unfused paths are bitwise-identical at any thread count.
 //
-// Under the barrier (CSR-LS) backend the same region runs the backward
-// levels barrier-to-barrier and starts the SpMV chunks after the final
-// level barrier — no sparsified cross-schedule waits, but still one region
-// and zero extra vector passes, so the backend comparison stays honest.
+// A tagged backward schedule (narrow levels serialized, or CSR-LS with every
+// level tagged kBarrier) runs its sweep through exec_run's segment walk with
+// the scatter still folded into each row, then the SpMV in a second region:
+// the fused region hosts only uniform point-to-point sweeps.
 #pragma once
 
 #include <span>
@@ -56,9 +56,9 @@ struct FusedApplySpmv {
 
   /// Sparsified waits per chunk, on the BACKWARD schedule's item counters:
   /// before chunk c, wait until wait_thread[w] has published wait_count[w]
-  /// backward items, for w in [wait_ptr[c], wait_ptr[c+1]). (The barrier
-  /// backend never consults them: the level barriers of the backward sweep
-  /// already order the whole solve before the SpMV phase.)
+  /// backward items, for w in [wait_ptr[c], wait_ptr[c+1]). (A tagged
+  /// backward schedule never consults them: its SpMV runs after the sweep's
+  /// region has joined.)
   std::vector<index_t> wait_ptr;
   std::vector<index_t> wait_thread;
   std::vector<index_t> wait_count;

@@ -1,12 +1,11 @@
 // User-facing options of the Javelin framework (paper §III: fill level k,
-// drop tolerance τ, modified ILU, level pattern choice, lower-stage method
+// drop tolerance τ, modified ILU, level pattern choice, the lower stage
 // and the planner sensitivity knobs of Tables III/IV).
 #pragma once
 
 #include <functional>
 #include <optional>
 
-#include "javelin/exec/backend.hpp"
 #include "javelin/graph/levels.hpp"
 #include "javelin/order/orderings.hpp"
 #include "javelin/support/types.hpp"
@@ -26,19 +25,10 @@ enum class FaultSite {
 
 /// Test-only fault-injection hook: called with the site and the (permuted)
 /// row just processed; returning false poisons that row exactly as a bad
-/// pivot would, driving the cooperative-abort path of the exec backends.
+/// pivot would, driving the cooperative-abort path of the executor.
 /// An empty hook (the default) keeps every hot path on its unguarded,
 /// zero-polling variant.
 using FaultHook = std::function<bool(FaultSite, index_t)>;
-
-/// Whether trailing small or dense levels move to the lower stage (paper
-/// §III-B). kNone keeps every level in the upper stage; kEvenRows and kAuto
-/// move them and factor the moved rows in one pass over work-balanced
-/// blocks of rows (the paper's Even-Rows split, balanced by the segmented
-/// work scan its Segmented-Rows method uses).
-enum class LowerMethod { kNone, kEvenRows, kAuto };
-
-const char* lower_method_name(LowerMethod m);
 
 struct IluOptions {
   // --- numerical options -----------------------------------------------
@@ -69,8 +59,12 @@ struct IluOptions {
   /// (paper §VII: "we by default always recommend using the lower(A+Aᵀ)
   /// pattern"): same-level rows then have no coupling in either triangle.
   LevelPattern level_pattern = LevelPattern::kLowerASymmetric;
-  /// Lower-stage method.
-  LowerMethod lower_method = LowerMethod::kAuto;
+  /// Whether trailing small or dense levels move to the lower stage (paper
+  /// §III-B). The moved rows are factored in one pass over work-balanced
+  /// blocks of rows (the paper's Even-Rows split, balanced by the segmented
+  /// work scan its Segmented-Rows method uses), then the corner serially.
+  /// false keeps every level in the upper stage.
+  bool lower_stage = true;
   /// A level is "too small" for the upper stage when it has fewer rows than
   /// this (the sensitivity parameter α of Table III's R-16/24/32 columns).
   /// <= 0 means "derive from thread count" (2·threads, at least 16). α also
@@ -89,10 +83,6 @@ struct IluOptions {
   /// whole row block, amortizing the spin-wait checks inside a level.
   /// Chunks never cross a level boundary. <= 0 means the built-in default.
   index_t p2p_chunk_rows = 0;
-  /// Factor the lower-stage corner block in parallel (level-scheduled)
-  /// instead of serially. Default off: "for most matrices, serial seems to
-  /// be good enough" (paper §III-B).
-  bool parallel_corner = false;
   /// Thread count to plan for; <= 0 means use the OpenMP default.
   int num_threads = 0;
   /// Runtime team override installed by the autotuner (tune/): when > 0 the
@@ -117,13 +107,7 @@ struct IluOptions {
   /// results: batched solves are bitwise equal to k independent solves.
   index_t batch_rhs = 0;
 
-  // --- execution backend ---------------------------------------------------
-  /// Synchronization strategy of the factorization/solve schedules:
-  /// point-to-point sparsified spin-waits (the paper's contribution) or the
-  /// classic barrier-synchronized level-set sweep (CSR-LS, the §VI
-  /// baseline). Both are bitwise-identical at any team size; only the
-  /// synchronization cost differs.
-  ExecBackend exec_backend = ExecBackend::kP2P;
+  // --- execution -------------------------------------------------------------
   /// Runtime-team autotune (first slice of the ROADMAP thread-count item):
   /// when a SOLVE would launch the planned team onto fewer hardware cores
   /// than threads, re-plan (retarget) the schedules down to the core count

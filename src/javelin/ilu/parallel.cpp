@@ -49,54 +49,22 @@ void throw_pivot(index_t row) {
 }
 
 /// Corner factorization (paper: FACTOR_LU): eliminate lower rows against
-/// each other, restricted to corner columns [n_upper, row). Serial by
-/// default; optionally level-scheduled through the barrier (CSR-LS)
-/// execution backend — the corner is small by construction, so per-level
-/// barriers beat spin-wait sparsification there. The corner schedule is
-/// built for the plan's team; a runtime `team` below it takes the serial
-/// corner (bitwise the same factor) rather than launching the plan's team.
-/// A bad pivot (or a fault-hook veto) aborts the region cooperatively and is
-/// reported as a status; nothing throws from inside the parallel region.
-FactorStatus factor_corner(Factorization& f, WorkspacePool& pool, int team) {
+/// each other, restricted to corner columns [n_upper, row), serially — "for
+/// most matrices, serial seems to be good enough" (paper §III-B). A bad
+/// pivot (or a fault-hook veto) is reported as a status at its row.
+FactorStatus factor_corner(Factorization& f, WorkspacePool& pool) {
   const TwoStagePlan& plan = f.plan;
   const RowKernelParams params = kernel_params(f.opts);
   const FaultHook& hook = f.opts.fault_hook;
   FactorView fv{f.lu.row_ptr(), f.lu.col_idx(), f.lu.values_mut(), f.diag_pos};
-  if (!f.opts.parallel_corner || plan.num_lower_rows() < 2 * plan.threads ||
-      f.corner.num_levels == 0 || team != f.corner.threads) {
-    RowWorkspace& ws = pool.get(0);
-    for (index_t r = plan.n_upper; r < plan.n; ++r) {
-      mark_row(fv, r, ws);
-      eliminate_window(fv, r, plan.n_upper, r, ws, params);
-      if (!finish_row(fv, r, params) ||
-          (hook && !hook(FaultSite::kFactorRow, r))) {
-        return {FactorOutcome::kBadPivot, r};
-      }
-    }
-    return {};
-  }
-  // Guarded (bool-returning) row function: exec_run drains the barrier
-  // level-set cooperatively on the first failing row, and because no thread
-  // passes a level whose barrier never completed, the reported row stays in
-  // the FIRST failing level instead of a downstream inf/NaN cascade row.
-  const auto corner_row = [&](index_t local, int t) -> bool {
-    const index_t r = plan.n_upper + local;
-    RowWorkspace& ws = pool.get(t);
+  RowWorkspace& ws = pool.get(0);
+  for (index_t r = plan.n_upper; r < plan.n; ++r) {
     mark_row(fv, r, ws);
     eliminate_window(fv, r, plan.n_upper, r, ws, params);
-    if (!finish_row(fv, r, params)) return false;
-    return !hook || hook(FaultSite::kFactorRow, r);
-  };
-  ExecStatus st;
-  if (f.opts.exec_obs != nullptr && !hook) {
-    ProgressCounters progress;
-    st = exec_run_obs(f.corner, corner_row, progress, *f.opts.exec_obs,
-                      obs::Region::kCorner);
-  } else {
-    st = exec_run(f.corner, corner_row);
-  }
-  if (!st.ok()) {
-    return {FactorOutcome::kBadPivot, plan.n_upper + st.row};
+    if (!finish_row(fv, r, params) ||
+        (hook && !hook(FaultSite::kFactorRow, r))) {
+      return {FactorOutcome::kBadPivot, r};
+    }
   }
   return {};
 }
@@ -322,7 +290,7 @@ FactorStatus ilu_factor_numeric_status(Factorization& f) {
   FactorView fv{f.lu.row_ptr(), f.lu.col_idx(), f.lu.values_mut(), f.diag_pos};
 
   // Upper stage: level-scheduled up-looking rows under the factor's
-  // execution backend. A refactorization team dialed below the plan
+  // schedule and its regime tags. A refactorization team dialed below the plan
   // (omp_set_num_threads after factoring — the time-stepping use case)
   // retargets the schedule through the factor's own cache instead of
   // degrading to the serial order. The one-shot factor phase deliberately
@@ -364,10 +332,10 @@ FactorStatus ilu_factor_numeric_status(Factorization& f) {
 
   // Lower stage. Its first pass only divides by already-validated upper
   // pivots, so it cannot break down; the corner can.
-  if (plan.method == LowerMethod::kNone) return {};
+  if (plan.num_lower_rows() == 0) return {};
   factor_lower(f, pool, team);
   const obs::TraceSpan span("factor_corner");
-  return factor_corner(f, pool, team);
+  return factor_corner(f, pool);
 }
 
 void ilu_factor_numeric(Factorization& f) {
@@ -436,15 +404,14 @@ Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts) {
       opts.p2p_chunk_rows > 0 ? opts.p2p_chunk_rows : kDefaultChunkRows;
   f.fwd = traced("prepare_fwd_schedule", [&] {
     return build_upper_forward_schedule(f.lu, f.plan.upper_level_ptr,
-                                        opts.exec_backend, f.plan.threads,
-                                        chunk);
+                                        f.plan.threads, chunk);
   });
   f.bwd = traced("prepare_bwd_schedule", [&] {
-    return build_backward_schedule(f.lu, opts.exec_backend, f.plan.threads,
-                                   chunk);
+    return build_backward_schedule(f.lu, f.plan.threads, chunk);
   });
   // Spin-wait escalation budget: carried by the schedules (retarget
-  // preserves it) so every executor branch sees the configured ladder.
+  // preserves it) so every segment of the executor sees the configured
+  // ladder.
   f.fwd.spin_budget = opts.spin_max_pauses;
   f.bwd.spin_budget = opts.spin_max_pauses;
   traced("prepare_tags", [&] { tag_narrow_levels(f); });
@@ -457,35 +424,6 @@ Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts) {
     });
   }
   if (f.plan.num_lower_rows() > 0) f.lower_work = lower_work_prefix(f);
-  if (opts.parallel_corner && f.plan.num_lower_rows() > 0) {
-    // Barrier level-set schedule over the corner block pattern (lower rows,
-    // corner columns), in LOCAL indices [0, n_lower).
-    const index_t n_lower = f.plan.num_lower_rows();
-    std::vector<index_t> rp(static_cast<std::size_t>(n_lower) + 1, 0);
-    std::vector<index_t> ci;
-    for (index_t i = 0; i < n_lower; ++i) {
-      const index_t r = f.plan.n_upper + i;
-      for (index_t c : f.lu.row_cols(r)) {
-        if (c >= f.plan.n_upper && c <= r) ci.push_back(c - f.plan.n_upper);
-      }
-      rp[static_cast<std::size_t>(i) + 1] = static_cast<index_t>(ci.size());
-    }
-    std::vector<value_t> vv(ci.size(), 1.0);
-    const CsrMatrix corner_pat(n_lower, n_lower, std::move(rp), std::move(ci),
-                               std::move(vv));
-    const LevelSets cls = compute_level_sets_lower(corner_pat);
-    f.corner = build_exec_schedule(ExecBackend::kBarrier, n_lower,
-                                   cls.level_ptr, cls.rows_by_level,
-                                   lower_triangular_deps(corner_pat),
-                                   f.plan.threads, chunk);
-    f.corner.spin_budget = opts.spin_max_pauses;
-    // Verified here, while corner_pat (the dependency pattern) is alive.
-    if (verify_schedules_enabled(opts)) {
-      verify::verify_schedule_or_throw(
-          f.corner, lower_triangular_deps(corner_pat), "corner");
-    }
-  }
-
   return f;
 }
 

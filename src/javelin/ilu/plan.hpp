@@ -27,8 +27,6 @@ struct TwoStagePlan {
   /// Lower-stage level boundaries relative to n_upper (the trailing levels
   /// that were moved), same layout; may be empty when nothing moved.
   std::vector<index_t> lower_level_ptr;
-  /// Resolved lower-stage method (never kAuto).
-  LowerMethod method = LowerMethod::kNone;
   /// Pattern the levels were computed on.
   LevelPattern pattern = LevelPattern::kLowerASymmetric;
   /// Thread count the plan targets.
@@ -75,8 +73,8 @@ struct TwoStagePlan {
 ///     them;
 ///   * only whole trailing levels move, which guarantees no upper-stage row
 ///     ever depends on a lower-stage row.
-/// The method resolves to kNone when no row moved, otherwise to kEvenRows:
-/// the one work-balanced lower-stage pass (ilu/parallel.cpp).
+/// Nothing moves when opts.lower_stage is false. The moved rows are
+/// factored by the one work-balanced lower-stage pass (ilu/parallel.cpp).
 TwoStagePlan build_two_stage_plan(const CsrMatrix& s, const LevelSets& ls,
                                   std::span<const index_t> order,
                                   const IluOptions& opts);

@@ -105,9 +105,9 @@ TwoStagePlan build_two_stage_plan(const CsrMatrix& s, const LevelSets& ls,
     return nnz / static_cast<double>(e - b);
   };
 
-  // Scan trailing levels; moving is only allowed when a lower method exists.
+  // Scan trailing levels; moving is only allowed with the lower stage on.
   index_t cutoff = nlev;
-  if (opts.lower_method != LowerMethod::kNone && nlev > 1) {
+  if (opts.lower_stage && nlev > 1) {
     const index_t earliest = static_cast<index_t>(
         std::ceil(opts.relative_location * static_cast<double>(nlev)));
     while (cutoff > std::max<index_t>(earliest, 1)) {
@@ -132,10 +132,6 @@ TwoStagePlan build_two_stage_plan(const CsrMatrix& s, const LevelSets& ls,
                                      plan.n_upper);
     }
   }
-
-  // Resolve the method: one lower-stage pass serves every pattern.
-  plan.method =
-      plan.rows_moved == 0 ? LowerMethod::kNone : LowerMethod::kEvenRows;
   return plan;
 }
 

@@ -50,12 +50,10 @@ int runtime_team(const Factorization& f) {
 namespace {
 
 void ensure_cache(const Factorization& f, ScheduleCache& cache, int team) {
-  // Rebuild on a team change AND on any policy flip — backend, hybrid
-  // regime tags, spin budget — the autotuner (or set_exec_backend) may
-  // apply between sweeps that share this cache.
-  if (cache.threads == team && cache.fwd.backend == f.fwd.backend &&
-      cache.bwd.backend == f.bwd.backend &&
-      cache.fwd.level_tags == f.fwd.level_tags &&
+  // Rebuild on a team change AND on any policy flip — regime tags, spin
+  // budget — the autotuner (or tag_all_levels) may apply between sweeps
+  // that share this cache.
+  if (cache.threads == team && cache.fwd.level_tags == f.fwd.level_tags &&
       cache.bwd.level_tags == f.bwd.level_tags &&
       cache.fwd.spin_budget == f.fwd.spin_budget &&
       cache.bwd.spin_budget == f.bwd.spin_budget) {
@@ -94,31 +92,15 @@ const ExecSchedule& runtime_bwd(const Factorization& f, ScheduleCache& cache) {
   return cache.bwd;
 }
 
-void set_exec_backend(Factorization& f, ExecBackend backend) {
-  f.opts.exec_backend = backend;
-  // Pinning a backend means UNIFORM execution. A hybrid schedule (regime
-  // tags installed by ilu_prepare's default rule or the autotuner) had the
-  // waits its sync points covered PRUNED, so dropping the tags alone would
-  // leave a racy uniform schedule — rebuild the wait lists too (a tagless
-  // retarget at the schedule's own team is bitwise a fresh build).
-  if (f.fwd.hybrid()) {
-    f.fwd.level_tags.clear();
-    f.fwd = retarget(f.fwd, lower_triangular_deps(f.lu), f.fwd.threads);
-  }
-  if (f.bwd.hybrid()) {
-    f.bwd.level_tags.clear();
-    f.bwd = retarget(f.bwd, upper_triangular_deps(f.lu), f.bwd.threads);
-  }
-  f.fwd.backend = backend;
-  f.bwd.backend = backend;
-  if (f.numeric_cache.fwd.hybrid() || f.numeric_cache.bwd.hybrid()) {
-    f.numeric_cache = ScheduleCache{};  // rebuilt on demand, tagless
-  } else {
-    f.numeric_cache.fwd.backend = backend;
-    f.numeric_cache.bwd.backend = backend;
-  }
-  // The corner schedule stays kBarrier: its levels are tiny and the paper
-  // treats the corner as a serial afterthought (§III-B).
+void tag_all_levels(Factorization& f, LevelRegime regime) {
+  const auto tag = [&](ExecSchedule& s, const DepsFn& deps) {
+    const std::vector<std::uint8_t> tags(static_cast<std::size_t>(s.num_levels),
+                                         static_cast<std::uint8_t>(regime));
+    apply_level_tags(s, deps, tags);
+  };
+  tag(f.fwd, lower_triangular_deps(f.lu));
+  tag(f.bwd, upper_triangular_deps(f.lu));
+  f.numeric_cache = ScheduleCache{};
 }
 
 void tag_narrow_levels(Factorization& f) {

@@ -2,18 +2,17 @@
 // factorization is co-designed for (paper §VI: "the incomplete factorization
 // may only be formed once, but stri may be called thousands of times").
 //
-// The forward (L) sweep reuses the SAME execution schedule as the
-// upper-stage factorization (f.fwd): the dependency pattern of the forward
-// solve is exactly the strictly-lower pattern of the factor, so the
-// spin-wait sparsification built for the numeric phase is reused verbatim.
-// Lower-stage rows are swept ER-style: their upper-column partial sums are
-// embarrassingly parallel, and only the small corner coupling runs in row
-// order. The backward (U) sweep runs under f.bwd, with the diagonal scale
-// fused into the sweep — no separate D^{-1} pass over the vector. Both
-// sweeps run under the exec/ backend the factor was built with (P2P or
-// barrier CSR-LS) and RETARGET through the workspace's ScheduleCache when
-// the runtime team differs from the factor-time plan — never a silent
-// serial fallback.
+// The forward (L) sweep reuses the SAME execution schedule as the upper-stage
+// factorization (f.fwd): the dependency pattern of the forward solve is exactly
+// the strictly-lower pattern of the factor, so the spin-wait sparsification
+// built for the numeric phase is reused verbatim. Lower-stage rows are swept
+// ER-style: their upper-column partial sums are embarrassingly parallel, and
+// only the small corner coupling runs in row order. The backward (U) sweep runs
+// under f.bwd, with the diagonal scale fused into the sweep — no separate
+// D^{-1} pass over the vector. Both sweeps run on the exec/ executor under the
+// factor's level tags (P2P by default, serialized narrow levels, or barrier
+// CSR-LS) and RETARGET through the workspace's ScheduleCache when the runtime
+// team differs from the factor-time plan — never a silent serial fallback.
 //
 // All parallel sweeps are bitwise-identical to the serial reference: every
 // row's accumulation walks its CSR entries in the same ascending order, and

@@ -7,7 +7,7 @@
 //
 // Parity contract: column j of a pcg_many run is bitwise equal to a scalar
 // pcg run on (A, column j of B) with the matching scalar preconditioner, at
-// every thread count and exec backend — panel kernels keep each column's
+// every thread count and level tagging — panel kernels keep each column's
 // scalar accumulation order, the deterministic reductions see the same
 // contiguous column spans, and a column that converges (or breaks down)
 // RETIRES: its x / r / p / q columns are frozen exactly where the scalar

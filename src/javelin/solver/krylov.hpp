@@ -143,8 +143,8 @@ PrecondFn identity_preconditioner();
 
 /// Factor-once / apply-thousands packaging of the Javelin ILU: owns the
 /// Factorization and a SolveWorkspace so repeated applies never allocate.
-/// The execution backend (P2P vs barrier CSR-LS) and the runtime-retarget
-/// policy flow in through IluOptions; a solve-time team mismatch re-plans
+/// The runtime-retarget policy flows in through IluOptions (and the
+/// factor's level tags travel with it); a solve-time team mismatch re-plans
 /// inside the workspace instead of falling back to a serial sweep.
 /// Not safe for concurrent apply() calls on one instance (clone instead).
 class IluPreconditioner {

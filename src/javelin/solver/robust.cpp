@@ -120,7 +120,6 @@ SolveReport RobustSolver::solve(std::span<const value_t> b,
   JAVELIN_CHECK(x.size() >= un, "robust solve: solution smaller than n");
 
   SolveReport report;
-  report.backend = opts_.ilu.exec_backend;
 
   SolverOptions so = opts_.solver;
   if (so.stagnation_window == 0) {

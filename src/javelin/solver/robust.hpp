@@ -97,7 +97,6 @@ struct SolveReport {
   FailureCause cause = FailureCause::kNone;
   value_t shift_used = 0;              ///< shift of the rung that produced x
   PrecondLevel level_used = PrecondLevel::kIlu;
-  ExecBackend backend = ExecBackend::kP2P;
   std::vector<AttemptReport> attempts;
 
   /// One-line human-readable attempt trail (for logs and test diagnostics).
@@ -125,8 +124,11 @@ class RobustSolver {
   bool symmetric() const noexcept { return symmetric_; }
   /// max|a_ii| — the shift unit (1 when the stored diagonal is all zero).
   value_t diagonal_scale() const noexcept { return diag_scale_; }
-  /// Null when the matrix is structurally unfactorable.
+  /// Null when the matrix is structurally unfactorable. The mutable form
+  /// lets a caller re-tag the factor's sweeps (tag_all_levels) between
+  /// solves; every rung reuses its schedules.
   const Factorization* factorization() const noexcept { return factor_.get(); }
+  Factorization* factorization() noexcept { return factor_.get(); }
 
  private:
   const CsrMatrix* a_;

@@ -250,10 +250,11 @@ class SpinLock {
   std::atomic<bool> flag_{false};
 };
 
-/// Sense-reversing centralized barrier — the per-level synchronization of
-/// the CSR-LS (barrier level-set) execution backend (paper §VI compares
-/// point-to-point scheduling against exactly this); Javelin's own P2P
-/// backend never barriers between levels. Waiters degrade under the same
+/// Sense-reversing centralized barrier — the executor's segment-entry
+/// barrier and the per-level synchronization of kBarrier levels (CSR-LS
+/// when every level carries the tag; paper §VI compares point-to-point
+/// scheduling against exactly this). Javelin's own P2P levels never
+/// barrier between levels. Waiters degrade under the same
 /// bounded exponential backoff as the P2P spin-waits, so an oversubscribed
 /// barrier team yields instead of pause-storming.
 class SpinBarrier {

@@ -13,9 +13,9 @@ namespace javelin::tune {
 
 std::string TuneCandidate::name() const {
   if (threads <= 1) return "serial";
-  std::string s = hybrid ? "hybrid"
-                         : (backend == ExecBackend::kBarrier ? "barrier"
-                                                             : "p2p");
+  std::string s = sync == TuneSync::kHybrid    ? "hybrid"
+                  : sync == TuneSync::kBarrier ? "barrier"
+                                               : "p2p";
   s += "/t" + std::to_string(threads);
   if (chunk_rows > 0) s += "/c" + std::to_string(chunk_rows);
   return s;
@@ -42,48 +42,47 @@ std::vector<std::uint8_t> derive_hybrid_tags(const ExecSchedule& s,
 
 namespace {
 
-/// The policy state a candidate mutates — schedules, backend, team override.
-/// Numeric values, plan, permutation and symbolic data never move.
+/// The policy state a candidate mutates — schedules (with their tags), team
+/// override. Numeric values, plan, permutation and symbolic data never move.
 struct PolicySnapshot {
   ExecSchedule fwd;
   ExecSchedule bwd;
-  ExecBackend backend;
   int tuned_threads;
 };
 
 PolicySnapshot snap_policy(const Factorization& f) {
-  return {f.fwd, f.bwd, f.opts.exec_backend, f.opts.tuned_threads};
+  return {f.fwd, f.bwd, f.opts.tuned_threads};
 }
 
 void restore_policy(Factorization& f, const PolicySnapshot& s) {
   f.fwd = s.fwd;
   f.bwd = s.bwd;
-  f.opts.exec_backend = s.backend;
   f.opts.tuned_threads = s.tuned_threads;
   f.numeric_cache = ScheduleCache{};
 }
 
 /// Install one candidate on a factor currently holding its pristine policy.
 void apply_candidate(Factorization& f, const TuneCandidate& c) {
-  set_exec_backend(f, c.backend);  // uniform reset (rebuilds pruned waits)
+  tag_all_levels(f, LevelRegime::kP2P);  // uniform reset (rebuilds waits)
   if (c.chunk_rows > 0 && (f.fwd.chunk_rows != c.chunk_rows ||
                            f.bwd.chunk_rows != c.chunk_rows)) {
     // A different blocking granule re-chunks the retained level structure —
     // the same cheap path retarget() uses, bitwise-neutral by the standing
     // schedule contract.
     ExecSchedule nf = build_exec_schedule(
-        c.backend, f.fwd.n_total, f.fwd.level_ptr, f.fwd.serial_order,
+        f.fwd.n_total, f.fwd.level_ptr, f.fwd.serial_order,
         lower_triangular_deps(f.lu), f.fwd.threads, c.chunk_rows);
     nf.spin_budget = f.fwd.spin_budget;
     ExecSchedule nb = build_exec_schedule(
-        c.backend, f.bwd.n_total, f.bwd.level_ptr, f.bwd.serial_order,
+        f.bwd.n_total, f.bwd.level_ptr, f.bwd.serial_order,
         upper_triangular_deps(f.lu), f.bwd.threads, c.chunk_rows);
     nb.spin_budget = f.bwd.spin_budget;
     f.fwd = std::move(nf);
     f.bwd = std::move(nb);
     f.numeric_cache = ScheduleCache{};
   }
-  if (c.hybrid) tag_narrow_levels(f);  // the default regime rule
+  if (c.sync == TuneSync::kHybrid) tag_narrow_levels(f);  // default rule
+  if (c.sync == TuneSync::kBarrier) tag_all_levels(f, LevelRegime::kBarrier);
   f.opts.tuned_threads = c.threads;
   if (verify_schedules_enabled(f.opts)) {
     verify::verify_schedule_or_throw(f.fwd, lower_triangular_deps(f.lu),
@@ -118,7 +117,7 @@ double measure_candidate(Factorization& f, int reps) {
 std::vector<TuneCandidate> make_grid(const Factorization& f,
                                      const TuneOptions& o) {
   std::vector<TuneCandidate> grid;
-  grid.push_back(TuneCandidate{ExecBackend::kP2P, false, 1, 0});  // "serial"
+  grid.push_back(TuneCandidate{TuneSync::kP2P, 1, 0});  // "serial"
   const int cap = std::max(1, o.max_threads > 0 ? o.max_threads
                                                 : f.plan.threads);
   std::vector<int> teams;
@@ -131,10 +130,10 @@ std::vector<TuneCandidate> make_grid(const Factorization& f,
   }
   for (int t : teams) {
     for (index_t c : chunks) {
-      grid.push_back(TuneCandidate{ExecBackend::kP2P, false, t, c});
-      grid.push_back(TuneCandidate{ExecBackend::kBarrier, false, t, c});
+      grid.push_back(TuneCandidate{TuneSync::kP2P, t, c});
+      grid.push_back(TuneCandidate{TuneSync::kBarrier, t, c});
     }
-    grid.push_back(TuneCandidate{ExecBackend::kP2P, true, t, 0});
+    grid.push_back(TuneCandidate{TuneSync::kHybrid, t, 0});
   }
   return grid;
 }
@@ -167,8 +166,7 @@ CostModelFn deterministic_cost_model() {
     if (c.threads > 1) {
       // Synchronization toll grows with the team; a barrier costs more than
       // a sparsified wait round.
-      const double per_sync =
-          c.backend == ExecBackend::kBarrier ? 48.0 : 16.0;
+      const double per_sync = c.sync == TuneSync::kBarrier ? 48.0 : 16.0;
       double sync = levels * per_sync * t;
       // Regime tags strip the cross-thread sync of the small levels and
       // charge one segment-entry barrier per level run instead. A direction
@@ -179,7 +177,7 @@ CostModelFn deterministic_cost_model() {
       };
       const double small = 0.5 * (tagged(ctx.fwd_small_row_frac) +
                                   tagged(ctx.bwd_small_row_frac));
-      if (c.hybrid && small > 0.0) {
+      if (c.sync == TuneSync::kHybrid && small > 0.0) {
         sync *= 1.0 - 0.75 * small;
         sync += levels;
       }
@@ -231,7 +229,8 @@ TuneReport autotune(Factorization& f, const TuneOptions& topt) {
     throw;
   }
   rep.applied = true;
-  rep.hybrid_applied = f.fwd.hybrid() || f.bwd.hybrid();
+  rep.hybrid_applied = rep.chosen.sync == TuneSync::kHybrid &&
+                       (f.fwd.hybrid() || f.bwd.hybrid());
   return rep;
 }
 
@@ -243,9 +242,8 @@ void TuneReport::export_metrics(obs::MetricsRegistry& reg) const {
   reg.add("tune.applied", applied ? 1 : 0);
   reg.add("tune.hybrid_applied", hybrid_applied ? 1 : 0);
   reg.add("tune.chosen_threads", static_cast<std::uint64_t>(chosen.threads));
-  reg.add("tune.chosen_hybrid", chosen.hybrid ? 1 : 0);
-  reg.add("tune.chosen_barrier",
-          chosen.backend == ExecBackend::kBarrier ? 1 : 0);
+  reg.add("tune.chosen_hybrid", chosen.sync == TuneSync::kHybrid ? 1 : 0);
+  reg.add("tune.chosen_barrier", chosen.sync == TuneSync::kBarrier ? 1 : 0);
   reg.add("tune.chosen_chunk_rows",
           static_cast<std::uint64_t>(chosen.chunk_rows));
   reg.add("tune.chosen_ns", ns(chosen_seconds));

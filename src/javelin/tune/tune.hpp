@@ -1,15 +1,15 @@
 // Factor-time autotuner: measure a small grid of execution policies —
-// backend (P2P / barrier / serial), team width, blocking granule, and the
-// per-level hybrid regime mix — on the REAL solve path, then pin the winner
-// into the factorization so every later sweep (plain, fused, panel, batched)
-// dispatches it automatically.
+// synchronization (P2P / all-levels barrier / serial), team width, blocking
+// granule, and the per-level hybrid regime mix — on the REAL solve path,
+// then pin the winner into the factorization so every later sweep (plain,
+// fused, panel, batched) dispatches it automatically.
 //
 // Everything a candidate changes is a bitwise-neutral transformation of the
-// same (level, thread, row) assignment: backends and teams are
-// interchangeable by the standing exec/ contract, regime tags only alter
-// synchronization, and the blocking granule only groups rows into items.
-// The tuner therefore never changes results — only the time to produce
-// them — and a pinned policy replays deterministically.
+// same (level, thread, row) assignment: teams are interchangeable by the
+// standing exec/ contract, regime tags only alter synchronization, and the
+// blocking granule only groups rows into items. The tuner therefore never
+// changes results — only the time to produce them — and a pinned policy replays
+// deterministically.
 //
 // Two measurement modes:
 //   * wall-clock (default): each candidate is applied to the factor through
@@ -32,13 +32,16 @@
 
 namespace javelin::tune {
 
+/// How a candidate's sweeps synchronize: uniform point-to-point waits,
+/// every level tagged kBarrier (CSR-LS), or the default per-level regimes
+/// (tag_narrow_levels: levels narrower than the plan's α serialize, the
+/// rest keep their P2P waits).
+enum class TuneSync { kP2P, kBarrier, kHybrid };
+
 /// One point of the candidate grid. `chunk_rows == 0` keeps the granule the
-/// factor was built with; `hybrid` installs the default per-level regimes
-/// (tag_narrow_levels: levels narrower than the plan's α serialize) on top
-/// of the P2P backend, while a plain P2P candidate runs uniform sweeps.
+/// factor was built with.
 struct TuneCandidate {
-  ExecBackend backend = ExecBackend::kP2P;
-  bool hybrid = false;
+  TuneSync sync = TuneSync::kP2P;
   int threads = 1;
   index_t chunk_rows = 0;
 
@@ -95,7 +98,7 @@ struct TuneReport {
   double chosen_seconds = 0.0;  ///< winner's score/seconds
   double serial_seconds = 0.0;  ///< the serial candidate's score/seconds
   bool applied = false;         ///< winner pinned into the factorization
-  bool hybrid_applied = false;  ///< winner carries per-level regime tags
+  bool hybrid_applied = false;  ///< hybrid winner's narrow-level tags fired
 
   /// Export the decision as monotone counters ("tune.candidates",
   /// "tune.chosen_threads", "tune.chosen_hybrid", "tune.chosen_ns",
@@ -109,7 +112,7 @@ struct TuneReport {
 /// waits. Returns LevelRegime bytes, one per level of `s`. Neither the
 /// default nor the tuner uses it (both use narrow_level_tags); it builds the
 /// mixed kBarrier/kSerial/kP2P schedules that exercise every regime of the
-/// hybrid executor.
+/// executor's segment walk.
 std::vector<std::uint8_t> derive_hybrid_tags(const ExecSchedule& s,
                                              index_t serial_below,
                                              index_t barrier_below);
@@ -126,7 +129,7 @@ TuneContext make_context(const Factorization& f);
 CostModelFn deterministic_cost_model();
 
 /// Measure the candidate grid on `f` and pin the winner: the chosen
-/// backend/tags are installed on f.fwd/f.bwd and the chosen team width in
+/// tags are installed on f.fwd/f.bwd and the chosen team width in
 /// f.opts.tuned_threads (runtime_team consumes it; runtime clamps still
 /// apply). The factor's results are unchanged for every candidate — only
 /// synchronization and blocking differ. Exception-safe: on throw the

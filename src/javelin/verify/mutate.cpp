@@ -185,8 +185,8 @@ MutationResult apply_mutation(ExecSchedule& s, Mutation m, const DepsFn& deps,
       // becomes the last row of level l-1 while the stored items keep
       // executing it in the level-l slice. With true level sets (level(r)
       // = 1 + max level of r's dependencies) the moved row always has a
-      // dependency in level l-1, which is now same-level — a barrier-
-      // backend data race the verifier must flag.
+      // dependency in level l-1, which is now same-level — a data race on
+      // barrier levels the verifier must flag.
       std::vector<index_t> sites;
       for (index_t l = 1; l < s.num_levels; ++l) {
         if (s.level_ptr[uz(l)] < s.level_ptr[uz(l) + 1]) sites.push_back(l);

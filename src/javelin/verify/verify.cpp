@@ -130,7 +130,7 @@ VerifyReport verify_schedule(const ExecSchedule& s, const DepsFn& deps,
 
   if (s.thread_ptr.empty()) {
     // Default-constructed schedule: acceptable only if it schedules nothing
-    // (ilu keeps empty corner schedules around for pure-triangular plans).
+    // (a default-constructed ExecSchedule, e.g. an unfilled cache entry).
     if (n_rows != 0 || n_serial != 0) {
       sink.structural("thread_ptr empty but rows are scheduled");
     }
@@ -167,10 +167,10 @@ VerifyReport verify_schedule(const ExecSchedule& s, const DepsFn& deps,
              kInvalidIndex, kInvalidIndex,
              "stored num_levels disagrees with level_ptr");
   }
-  // Per-level regime tags: a malformed vector makes the hybrid executor's
+  // Per-level regime tags: a malformed vector makes the executor's
   // segment walk meaningless (and its wait pruning unjustified), so flag it
-  // and analyze the schedule as uniform under `backend` — which then
-  // reports the pruned waits as the races they would be.
+  // and analyze the schedule as uniform point-to-point — which then reports
+  // the pruned waits as the races they would be.
   bool hybrid = !s.level_tags.empty();
   if (hybrid && static_cast<index_t>(s.level_tags.size()) != n_levels) {
     sink.add(DiagKind::kRegimeTag, kInvalidIndex, kInvalidIndex, -1, -1,
@@ -286,7 +286,7 @@ VerifyReport verify_schedule(const ExecSchedule& s, const DepsFn& deps,
   // thread's item sequence must be level-monotone — the P2P pruning
   // argument ("dependencies live in strictly earlier items on every
   // thread") rests on exactly this. (b) Every scheduled dependency must
-  // live in a STRICTLY earlier level: the barrier backend synchronizes only
+  // live in a STRICTLY earlier level: barrier levels synchronize only
   // between levels, so a same-or-later-level dependency is a data race
   // under kBarrier no matter what the wait lists say.
   std::vector<index_t> item_level(uz(n_items), kInvalidIndex);
@@ -331,7 +331,7 @@ VerifyReport verify_schedule(const ExecSchedule& s, const DepsFn& deps,
                    static_cast<int>(owner[uz(r)]),
                    static_cast<int>(owner[uz(d)]), l, item_at[uz(r)],
                    "dependency is not in a strictly earlier level (barrier "
-                   "backend would race)");
+                   "levels would race)");
         }
       });
     }
@@ -384,7 +384,7 @@ VerifyReport verify_schedule(const ExecSchedule& s, const DepsFn& deps,
 
   // ---- Phase 4: deadlock. Kahn's toposort over the item graph — edges are
   // per-thread program order plus (producer item -> waiting item) for every
-  // valid wait. Hybrid schedules add VIRTUAL SYNC NODES for the executor's
+  // valid wait. Tagged schedules add VIRTUAL SYNC NODES for the executor's
   // extra synchronization (segment-entry barriers, per-level barriers of
   // kBarrier runs, and the serialization of kSerial levels, which orders
   // levels just as hard): every thread's last item below the sync level
@@ -398,8 +398,10 @@ VerifyReport verify_schedule(const ExecSchedule& s, const DepsFn& deps,
     }
   }
   // Sync points: level l has one at entry unless both l-1 and l are kP2P
-  // levels of the same segment — the only level boundary the hybrid
+  // levels of the same segment — the only level boundary the
   // executor crosses without synchronizing. Uniform schedules have none.
+  // Level 0's node has no predecessor, so it orders nothing — matching the
+  // executor, which skips the barrier before its first segment.
   std::vector<index_t> sync_levels;
   std::vector<index_t> sync_of_level(uz(n_levels), kInvalidIndex);
   if (hybrid) {
@@ -542,7 +544,7 @@ VerifyReport verify_schedule(const ExecSchedule& s, const DepsFn& deps,
   // its predecessors published (accumulated as they process, complete by
   // the time the node pops in topo order), and an item at level lv merges
   // the clock of its nearest preceding sync node — that is exactly what
-  // the hybrid executor's barrier guarantees, and what justifies the waits
+  // the executor's barrier guarantees, and what justifies the waits
   // apply_level_tags pruned (counted as deps_covered_regime).
   std::vector<index_t> clock(uz(n_nodes) * uz(T), 0);
   std::vector<index_t> before(uz(T), 0);
@@ -658,8 +660,8 @@ VerifyReport verify_retarget(const ExecSchedule& s, const DepsFn& deps,
   if (s.level_ptr.empty()) return verify_schedule(s, deps, max_diagnostics);
 
   ExecSchedule fresh =
-      build_exec_schedule(s.backend, s.n_total, s.level_ptr, s.serial_order,
-                          deps, threads, s.chunk_rows);
+      build_exec_schedule(s.n_total, s.level_ptr, s.serial_order, deps,
+                          threads, s.chunk_rows);
   fresh.spin_budget = s.spin_budget;
   if (!s.level_tags.empty()) apply_level_tags(fresh, deps, s.level_tags);
   const ExecSchedule rt = retarget(s, deps, threads);
@@ -671,7 +673,6 @@ VerifyReport verify_retarget(const ExecSchedule& s, const DepsFn& deps,
              std::string("retargeted schedule differs from a fresh build: ") +
                  field);
   };
-  if (rt.backend != fresh.backend) mismatch("backend");
   if (rt.threads != fresh.threads) mismatch("threads");
   if (rt.n_total != fresh.n_total) mismatch("n_total");
   if (rt.chunk_rows != fresh.chunk_rows) mismatch("chunk_rows");

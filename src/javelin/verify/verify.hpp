@@ -11,38 +11,40 @@
 //     exactly one item, and no item executes a row outside it;
 //   * level soundness — items never mix levels, per-thread item order is
 //     level-monotone, and every scheduled dependency lives in a STRICTLY
-//     earlier level (the barrier backend synchronizes only between levels,
-//     so a same-level dependency is a data race under kBarrier);
-//   * happens-before coverage — for the P2P backend, intra-thread program
-//     order plus the sparsified wait edges must cover every cross-thread
-//     dependency. The proof runs a vector clock over the item graph
-//     (Lamport-style): item i's clock entry for thread p is the number of
-//     items p is guaranteed to have published before i starts. A dependency
-//     is COVERED-DIRECT when one of the consuming item's own waits reaches
-//     the producer's position, COVERED-TRANSITIVE when only the transitive
-//     publish order does (the pruning the paper's sparsification performs),
-//     and UNCOVERED otherwise — an uncovered edge is a latent data race;
+//     earlier level (barrier levels synchronize only between levels, so a
+//     same-level dependency is a data race under kBarrier);
+//   * happens-before coverage — intra-thread program order plus the sparsified
+//     wait edges (and, for tagged schedules, the regime sync points below) must
+//     cover every cross-thread dependency. The proof runs a vector clock over
+//     the item graph (Lamport-style): item i's clock entry for thread p is the
+//     number of items p is guaranteed to have published before i starts. A
+//     dependency is COVERED-DIRECT when one of the consuming item's own waits
+//     reaches the producer's position, COVERED-TRANSITIVE when only the
+//     transitive publish order does (the pruning the paper's sparsification
+//     performs), and UNCOVERED otherwise — an uncovered edge is a latent data
+//     race;
 //   * deadlock freedom — the item graph (program order + wait edges) must be
 //     acyclic; an item waiting on a counter value its producer thread only
 //     reaches after that item publishes can never start.
 //
-// Both the level check and the wait check always run regardless of
-// s.backend: set_exec_backend() flips the tag in place, so a schedule must
-// be sound for either executor at all times.
+// Both the level check and the wait check always run, whatever the tags:
+// tag_all_levels() may re-tag a schedule at any time, so its level
+// structure must be sound for every regime.
 //
-// HYBRID schedules (non-empty level_tags) add synchronization the stored
-// waits no longer carry: the executor barriers at every same-tag segment
-// entry, after every kBarrier level, and runs kSerial levels alone on
-// thread 0 — and apply_level_tags prunes every wait those sync points
-// already cover. The analyzer models each such sync point as a virtual
-// node in the item graph (predecessors: every thread's last item below the
-// sync level; successors: every thread's first item at or above it, plus
-// the next sync node) and joins clocks across it, so pruned waits are
-// proven covered (deps_covered_regime) rather than misreported as races —
-// and a tag edit that orphans a pruned wait IS reported (kUncoveredDependency
-// or kDeadlock). Malformed tag vectors are kRegimeTag and analyzed as
-// uniform; a stored segment layout (seg_level_ptr / seg_items, which the
-// executor walks) that disagrees with the tags is kRegimeTag as well.
+// TAGGED schedules (non-empty level_tags — narrow levels serialized, or CSR-LS
+// with every level kBarrier) add synchronization the stored waits no longer
+// carry: the executor barriers at every same-tag segment entry, after every
+// kBarrier level, and runs kSerial levels alone on thread 0 — and
+// apply_level_tags prunes every wait those sync points already cover. The
+// analyzer models each such sync point as a virtual node in the item graph
+// (predecessors: every thread's last item below the sync level; successors:
+// every thread's first item at or above it, plus the next sync node) and joins
+// clocks across it, so pruned waits are proven covered (deps_covered_regime)
+// rather than misreported as races — and a tag edit that orphans a pruned wait
+// IS reported (kUncoveredDependency or kDeadlock). Malformed tag vectors are
+// kRegimeTag and analyzed as uniform; a stored segment layout (seg_level_ptr /
+// seg_items, which the executor walks) that disagrees with the tags is
+// kRegimeTag as well.
 //
 // Diagnostics are structured (ScheduleDiagnostic: consumer row, producer
 // row, threads, level, item) so tests can assert row-precise detection and

@@ -1,9 +1,10 @@
 // Property tests of the batched many-RHS path (ilu/batch.hpp,
 // solver/batch.hpp): a batched solve of k right-hand sides must be bitwise
-// equal to k independent scalar solves at every thread count, under both
-// exec backends, fused and unfused; entry validation must throw instead of
-// reading out of bounds; WorkspacePool must serve concurrent streams on one
-// shared factorization; and pcg_many must reproduce scalar pcg per column.
+// equal to k independent scalar solves at every thread count, under P2P and
+// all-barrier (CSR-LS) tags, fused and unfused; entry validation must throw
+// instead of reading out of bounds; WorkspacePool must serve concurrent streams
+// on one shared factorization; and pcg_many must reproduce scalar pcg per
+// column.
 #include <atomic>
 
 #include "javelin/gen/generators.hpp"
@@ -36,15 +37,16 @@ std::span<value_t> panel_col(std::vector<value_t>& p, index_t n, index_t j) {
 }
 
 /// Batched vs k-independent-scalar parity for one matrix under one
-/// (threads, backend) configuration, across panel widths that exercise the
+/// (threads, barrier tags) configuration, across panel widths that exercise the
 /// 8/4/2/1 register-block tail dispatch. Returns the k = 8 panel result for
 /// cross-configuration comparison.
 std::vector<value_t> check_batch_parity(const char* name, const CsrMatrix& a,
-                                        IluOptions opts) {
+                                        IluOptions opts, bool barrier) {
   const index_t n = a.rows();
   const std::size_t un = static_cast<std::size_t>(n);
   opts.batch_rhs = 4;  // force solve_many to split k > 4 into several panels
-  const Factorization f = ilu_factor(a, opts);
+  const Factorization f = barrier ? javelin::test::ilu_factor_csrls(a, opts)
+                                  : ilu_factor(a, opts);
   const FusedApplySpmv fs = build_fused_apply_spmv(f, a);
   const RowPartition part = RowPartition::build(a);
   SolveWorkspace ws_scalar, ws_panel;
@@ -251,23 +253,23 @@ int main() {
   const Entry entries[] = {{"grid", &grid}, {"fem", &fem},    {"chain", &chain},
                            {"cube", &cube}, {"aniso", &aniso}, {"jump", &jump}};
 
-  // Batched parity across thread counts and both backends; panel results
+  // Batched parity across thread counts, P2P and CSR-LS; panel results
   // must also be bitwise-identical ACROSS configurations.
   for (const Entry& e : entries) {
     std::vector<value_t> ref;
-    for (ExecBackend backend : {ExecBackend::kP2P, ExecBackend::kBarrier}) {
+    for (bool barrier : {false, true}) {
       for (int threads : {1, 2, 4, 8}) {
         IluOptions opts;
         opts.num_threads = threads;
-        opts.exec_backend = backend;
         opts.retarget_oversubscribed = false;  // planned-width schedules
-        std::vector<value_t> z = check_batch_parity(e.name, *e.a, opts);
+        std::vector<value_t> z =
+            check_batch_parity(e.name, *e.a, opts, barrier);
         if (ref.empty()) {
           ref = std::move(z);
         } else {
           CHECK_MSG(bitwise_equal(z, ref),
-                    "%s panel across configs (backend=%d T=%d)", e.name,
-                    static_cast<int>(backend), threads);
+                    "%s panel across configs (barrier=%d T=%d)", e.name,
+                    barrier ? 1 : 0, threads);
         }
       }
     }

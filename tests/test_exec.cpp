@@ -1,4 +1,4 @@
-// Property tests of the pluggable execution-backend layer (exec/):
+// Property tests of the execution layer (exec/):
 //
 //   * retarget(s, deps, T) is bitwise-identical — every schedule field — to
 //     a fresh build at T, for T ∈ {1, 2, 4, 8}, forward and backward, and
@@ -7,10 +7,11 @@
 //   * a runtime team below the factor-time plan RETARGETS the solve paths
 //     (the workspace cache fills for the real team) instead of degrading to
 //     a serial sweep, and stays bitwise-identical to the serial reference;
-//   * the barrier (CSR-LS) backend is bitwise-identical to the P2P backend
-//     and to the serial reference at every thread count, for ilu_apply, the
-//     fused apply+SpMV, and full Krylov trajectories;
-//   * set_exec_backend flips a factor between backends in place.
+//   * the barrier (CSR-LS) sweep — every level tagged kBarrier — is
+//     bitwise-identical to the P2P sweep and to the serial reference at
+//     every thread count, for ilu_apply, the fused apply+SpMV, and full
+//     Krylov trajectories;
+//   * tag_all_levels re-tags a factor between the two in place.
 #include "javelin/exec/run.hpp"
 #include "javelin/gen/generators.hpp"
 #include "javelin/ilu/fused.hpp"
@@ -21,7 +22,9 @@
 #include "test_util.hpp"
 
 using namespace javelin;
+using javelin::test::all_barrier;
 using javelin::test::bitwise_equal;
+using javelin::test::ilu_factor_csrls;
 using javelin::test::random_vector;
 
 namespace {
@@ -35,7 +38,7 @@ bool vec_eq(const char* what, const std::vector<T>& a, const std::vector<T>& b) 
 }
 
 bool schedules_equal(const ExecSchedule& a, const ExecSchedule& b) {
-  bool ok = a.backend == b.backend && a.threads == b.threads &&
+  bool ok = a.threads == b.threads &&
             a.n_total == b.n_total && a.chunk_rows == b.chunk_rows &&
             a.num_levels == b.num_levels && a.deps_total == b.deps_total &&
             a.deps_kept == b.deps_kept;
@@ -71,13 +74,12 @@ bool fused_equal(const FusedApplySpmv& a, const FusedApplySpmv& b) {
 /// Retargeting a factor's schedules must reproduce a fresh build at every
 /// team size, for both directions and the fused companion.
 void check_retarget_identity(const char* name, const CsrMatrix& a,
-                             ExecBackend backend) {
+                             bool barrier) {
   ThreadCountGuard guard(8);
   IluOptions opts;
   opts.num_threads = 8;
-  opts.exec_backend = backend;
   opts.retarget_oversubscribed = false;
-  Factorization f = ilu_factor(a, opts);
+  Factorization f = barrier ? ilu_factor_csrls(a, opts) : ilu_factor(a, opts);
 
   const DepsFn low = lower_triangular_deps(f.lu);
   const DepsFn up = upper_triangular_deps(f.lu);
@@ -85,9 +87,9 @@ void check_retarget_identity(const char* name, const CsrMatrix& a,
     // The fresh build gets the factor's regime tags (the default narrow-level
     // rule tags deep matrices), which retarget carries along.
     ExecSchedule fresh_fwd = build_upper_forward_schedule(
-        f.lu, f.plan.upper_level_ptr, backend, T, f.fwd.chunk_rows);
+        f.lu, f.plan.upper_level_ptr, T, f.fwd.chunk_rows);
     ExecSchedule fresh_bwd =
-        build_backward_schedule(f.lu, backend, T, f.bwd.chunk_rows);
+        build_backward_schedule(f.lu, T, f.bwd.chunk_rows);
     if (f.fwd.hybrid()) apply_level_tags(fresh_fwd, low, f.fwd.level_tags);
     if (f.bwd.hybrid()) apply_level_tags(fresh_bwd, up, f.bwd.level_tags);
     CHECK_MSG(schedules_equal(retarget(f.fwd, low, T), fresh_fwd),
@@ -107,14 +109,13 @@ void check_retarget_identity(const char* name, const CsrMatrix& a,
 /// A runtime team below the plan must RETARGET (cache fills for the real
 /// team) and stay bitwise-identical to the serial reference.
 void check_runtime_retarget(const char* name, const CsrMatrix& a,
-                            ExecBackend backend) {
+                            bool barrier) {
   Factorization f = [&] {
     ThreadCountGuard guard(4);
     IluOptions opts;
     opts.num_threads = 4;
-    opts.exec_backend = backend;
     opts.retarget_oversubscribed = false;  // isolate the runtime-team clamp
-    return ilu_factor(a, opts);
+    return barrier ? ilu_factor_csrls(a, opts) : ilu_factor(a, opts);
   }();
   const auto r = random_vector(f.n(), 0xFACE);
   std::vector<value_t> z_ref(r.size());
@@ -180,19 +181,17 @@ void check_oversubscription_policy(const CsrMatrix& a) {
   }
 }
 
-/// Barrier (CSR-LS) backend: bitwise-identical to P2P and to the serial
+/// Barrier (CSR-LS) tags: bitwise-identical to P2P and to the serial
 /// reference at every thread count, standalone and fused.
-void check_backend_parity(const char* name, const CsrMatrix& a, int threads) {
+void check_barrier_parity(const char* name, const CsrMatrix& a, int threads) {
   ThreadCountGuard guard(threads);
   IluOptions opts;
   opts.num_threads = threads;
   opts.retarget_oversubscribed = false;
 
-  opts.exec_backend = ExecBackend::kP2P;
   FusedIluOperator p2p(a, opts);
-  opts.exec_backend = ExecBackend::kBarrier;
-  FusedIluOperator ls(a, opts);
-  CHECK(ls.factorization().fwd.backend == ExecBackend::kBarrier);
+  FusedIluOperator ls(a, ilu_factor_csrls(a, opts));
+  CHECK(all_barrier(ls.factorization().fwd));
 
   const auto r = random_vector(a.rows(), 0xC5A);
   const std::size_t un = static_cast<std::size_t>(a.rows());
@@ -231,23 +230,23 @@ int main() {
   CsrMatrix chain = gen::long_chain(1400, 10, 4, 3);
   CsrMatrix fem = gen::random_fem(1000, 8, 21, 0.02);
 
-  check_retarget_identity("grid", grid, ExecBackend::kP2P);
-  check_retarget_identity("grid-ls", grid, ExecBackend::kBarrier);
-  check_retarget_identity("chain", chain, ExecBackend::kP2P);
-  check_retarget_identity("fem", fem, ExecBackend::kP2P);
+  check_retarget_identity("grid", grid, false);
+  check_retarget_identity("grid-ls", grid, true);
+  check_retarget_identity("chain", chain, false);
+  check_retarget_identity("fem", fem, false);
 
-  check_runtime_retarget("grid", grid, ExecBackend::kP2P);
-  check_runtime_retarget("grid-ls", grid, ExecBackend::kBarrier);
-  check_runtime_retarget("chain", chain, ExecBackend::kP2P);
+  check_runtime_retarget("grid", grid, false);
+  check_runtime_retarget("grid-ls", grid, true);
+  check_runtime_retarget("chain", chain, false);
 
   check_oversubscription_policy(grid);
 
   for (int threads : {1, 2, 4}) {
-    check_backend_parity("grid", grid, threads);
-    check_backend_parity("fem", fem, threads);
+    check_barrier_parity("grid", grid, threads);
+    check_barrier_parity("fem", fem, threads);
   }
 
-  // In-place backend flip: one factor, both backends, one workspace.
+  // In-place re-tag: one factor, P2P then CSR-LS, one workspace.
   {
     ThreadCountGuard guard(4);
     IluOptions opts;
@@ -258,8 +257,8 @@ int main() {
     std::vector<value_t> z1(r.size()), z2(r.size());
     SolveWorkspace ws;
     ilu_apply(f, r, z1, ws);
-    set_exec_backend(f, ExecBackend::kBarrier);
-    CHECK(f.bwd.backend == ExecBackend::kBarrier);
+    tag_all_levels(f, LevelRegime::kBarrier);
+    CHECK(all_barrier(f.fwd) && all_barrier(f.bwd));
     ilu_apply(f, r, z2, ws);
     CHECK(bitwise_equal(z1, z2));
   }

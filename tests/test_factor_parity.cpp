@@ -1,11 +1,10 @@
 // Property test for the claim in parallel.cpp: every execution mode (serial,
-// point-to-point upper stage, the work-balanced lower-stage pass, serial or
-// parallel corner) produces a bitwise-identical factor, because all paths
+// point-to-point upper stage, the work-balanced lower-stage pass, the serial
+// corner) produces a bitwise-identical factor, because all paths
 // share the row kernel and each row's arithmetic order is fixed by its CSR
 // layout. Also checks the lower-stage blocks themselves: contiguous,
 // covering the moved rows, and balanced by work for any team.
 #include <algorithm>
-#include <atomic>
 
 #include "javelin/gen/generators.hpp"
 #include "javelin/ilu/factorization.hpp"
@@ -53,9 +52,9 @@ Factorization check_parity(const char* name, const CsrMatrix& a,
                 std::equal(f.lu.col_idx().begin(), f.lu.col_idx().end(),
                            ref.col_idx().begin(), ref.col_idx().end()) &&
                 javelin::test::bitwise_equal(f.lu.values(), ref.values()),
-            "%s method=%s threads=%d fill=%d ordering=%s", name,
-            lower_method_name(f.plan.method), f.plan.threads,
-            opts.fill_level, ordering_name(f.plan.ordering));
+            "%s lower_rows=%d threads=%d fill=%d ordering=%s", name,
+            f.plan.num_lower_rows(), f.plan.threads, opts.fill_level,
+            ordering_name(f.plan.ordering));
   return f;
 }
 
@@ -137,38 +136,29 @@ int main() {
         opts.num_threads = threads;
         opts.fill_level = fill;
 
-        opts.lower_method = LowerMethod::kAuto;
         const Factorization f = check_parity(c.name, *c.a, opts);
         for (int team = 1; team <= 9; ++team) check_blocks(c.name, f, team);
 
-        opts.lower_method = LowerMethod::kEvenRows;
-        check_parity(c.name, *c.a, opts);
-
-        // Zero moved rows: kNone keeps every level in the upper stage.
-        opts.lower_method = LowerMethod::kNone;
+        // Zero moved rows: the lower stage off keeps every level upper.
+        opts.lower_stage = false;
         const Factorization none = check_parity(c.name, *c.a, opts);
         CHECK_MSG(none.plan.num_lower_rows() == 0 && none.lower_work.empty(),
-                  "%s: kNone moved %d rows", c.name,
+                  "%s: lower stage off moved %d rows", c.name,
                   none.plan.num_lower_rows());
       }
     }
-    // The parallel (barrier level-set) corner after the lower pass.
-    IluOptions opts;
-    opts.num_threads = 4;
-    opts.parallel_corner = true;
-    check_parity(c.name, *c.a, opts);
   }
 
-  // Zero moved rows under kAuto: no level is small (α = 1) or dense.
+  // Zero moved rows with the lower stage on: no level is small (α = 1) or
+  // dense.
   {
     IluOptions opts;
     opts.num_threads = 4;
     opts.min_level_rows = 1;
     opts.density_factor = 0;
     const Factorization f = check_parity("grid-nomove", grid, opts);
-    CHECK_MSG(f.plan.num_lower_rows() == 0 &&
-                  f.plan.method == LowerMethod::kNone,
-              "grid-nomove moved %d rows", f.plan.num_lower_rows());
+    CHECK_MSG(f.plan.num_lower_rows() == 0, "grid-nomove moved %d rows",
+              f.plan.num_lower_rows());
   }
 
   // A team larger than the number of lower rows: the tridiagonal chain has
@@ -227,43 +217,6 @@ int main() {
       const CsrMatrix ref = serial_reference(b, f);
       CHECK_MSG(javelin::test::bitwise_equal(f.lu.values(), ref.values()),
                 "%s refactor at runtime team %d", c.name, team);
-    }
-  }
-
-  // The parallel corner runs at the runtime team as well: a refactor after
-  // omp_set_num_threads(team) below a 4-thread plan factors no corner row on
-  // a thread >= team, and still matches the serial factor.
-  for (const Case& c : cases) {
-    IluOptions opts;
-    opts.num_threads = 4;
-    opts.parallel_corner = true;
-    index_t n_upper = 0;
-    std::atomic<int> corner_thread_max{-1};
-    opts.fault_hook = [&](FaultSite site, index_t r) {
-      if (site == FaultSite::kFactorRow && r >= n_upper) {
-        int seen = corner_thread_max.load();
-        while (seen < thread_id() &&
-               !corner_thread_max.compare_exchange_weak(seen, thread_id())) {
-        }
-      }
-      return true;
-    };
-    Factorization f = ilu_factor(*c.a, opts);
-    n_upper = f.plan.n_upper;
-    for (int team : {4, 2, 1}) {
-      CsrMatrix b = *c.a;
-      for (auto& v : b.values_mut()) v *= 1.0 + 0.0625 * team;
-      gen::make_diagonally_dominant(b);
-      corner_thread_max = -1;
-      ThreadCountGuard runtime(team);
-      ilu_refactor(f, b);
-      const CsrMatrix ref = serial_reference(b, f);
-      CHECK_MSG(javelin::test::bitwise_equal(f.lu.values(), ref.values()),
-                "%s parallel-corner refactor at runtime team %d", c.name,
-                team);
-      CHECK_MSG(corner_thread_max.load() < team,
-                "%s: corner row on thread %d at runtime team %d", c.name,
-                corner_thread_max.load(), team);
     }
   }
 

@@ -89,7 +89,7 @@ void check_uncovered_rows_throw(const CsrMatrix& a) {
   IluOptions opts;
   opts.num_threads = 4;
   opts.retarget_oversubscribed = false;
-  opts.lower_method = LowerMethod::kNone;  // else no fwd wait set is built
+  opts.lower_stage = false;  // else no fwd wait set is built
   const Factorization f = ilu_factor(a, opts);
   // One level over every permuted row but the last: a strict subset.
   const index_t n = f.n();
@@ -97,8 +97,8 @@ void check_uncovered_rows_throw(const CsrMatrix& a) {
   for (index_t r = 0; r + 1 < n; ++r) rows[static_cast<std::size_t>(r)] = r;
   const std::vector<index_t> level_ptr{0, n - 1};
   const DepsFn none = [](index_t, const std::function<void(index_t)>&) {};
-  const ExecSchedule partial = build_exec_schedule(
-      ExecBackend::kP2P, n, level_ptr, rows, none, f.bwd.threads);
+  const ExecSchedule partial =
+      build_exec_schedule(n, level_ptr, rows, none, f.bwd.threads);
   const auto throws = [&](const ExecSchedule& bwd, const ExecSchedule* fwd) {
     try {
       build_fused_apply_spmv(bwd, f.plan, a, kDefaultSpmvChunkRows, fwd);
@@ -152,10 +152,10 @@ int main() {
     IluOptions opts;
     opts.num_threads = 4;
     opts.retarget_oversubscribed = false;
-    opts.lower_method = LowerMethod::kNone;
+    opts.lower_stage = false;
     check_operator_parity("chain-nolower", chain, opts);
     opts.fill_level = 1;
-    opts.lower_method = LowerMethod::kAuto;
+    opts.lower_stage = true;
     check_operator_parity("grid-f1", grid, opts);
   }
 

@@ -3,7 +3,7 @@
 //   * the instrumented template instantiations are BITWISE inert: factor,
 //     ilu_apply and the fused apply+SpMV with an ExecObs attached reproduce
 //     the uninstrumented and serial results exactly, at T ∈ {1, 2, 4, 8}
-//     under both backends;
+//     under P2P and all-barrier (CSR-LS) tags;
 //   * trace sessions record well-formed streams: balanced B/E pairs with
 //     per-thread monotone timestamps, and the Chrome JSON export parses as
 //     one traceEvents object;
@@ -11,10 +11,11 @@
 //     (waits == waits_immediate + waits_stalled, spins >= waits_stalled,
 //     per-thread slots sum to the region total) and their deterministic
 //     components (wait calls per sweep == deps_kept; barrier crossings ==
-//     sweeps × levels × threads on the uniform barrier backend, sweeps ×
-//     segments × threads on a tagged default factor) are exact;
+//     sweeps × (levels - 1) × threads with every level kBarrier, sweeps ×
+//     (segments - 1) × threads on a tagged default factor — segment 0 has
+//     no entry barrier) are exact;
 //   * a tagged default factor (narrow levels serialized) traces its levels
-//     through the hybrid executor like the uniform branches do;
+//     through the segment walk like an untagged one does;
 //   * the numeric phase traces its lower stage (one factor_lower span per
 //     participating thread, never more threads than the runtime team) and
 //     its corner (factor_corner), also on a refactor below the plan's team;
@@ -39,32 +40,39 @@
 
 using namespace javelin;
 using javelin::test::bitwise_equal;
+using javelin::test::ilu_factor_csrls;
 using javelin::test::random_vector;
 
 namespace {
 
 CsrMatrix test_matrix() { return gen::laplacian3d(12, 12, 12, 7); }
 
-IluOptions base_opts(ExecBackend be, int t) {
+IluOptions base_opts(int t) {
   IluOptions opts;
   opts.num_threads = t;
-  opts.exec_backend = be;
   opts.retarget_oversubscribed = false;
   return opts;
 }
 
+/// The default factor, or with `be` == kBarrier the CSR-LS one.
+Factorization factor_for(const CsrMatrix& a, LevelRegime be,
+                         const IluOptions& opts) {
+  return be == LevelRegime::kBarrier ? ilu_factor_csrls(a, opts)
+                                     : ilu_factor(a, opts);
+}
+
 // --- (a) instrumentation is bitwise inert --------------------------------
 
-void check_parity(const CsrMatrix& a, ExecBackend be, int t) {
+void check_parity(const CsrMatrix& a, LevelRegime be, int t) {
   ThreadCountGuard guard(t);
-  const char* bname = be == ExecBackend::kP2P ? "p2p" : "barrier";
+  const char* bname = be == LevelRegime::kP2P ? "p2p" : "barrier";
 
-  const Factorization f_plain = ilu_factor(a, base_opts(be, t));
+  const Factorization f_plain = factor_for(a, be, base_opts(t));
 
   obs::ExecObs eo;
-  IluOptions iopts = base_opts(be, t);
+  IluOptions iopts = base_opts(t);
   iopts.exec_obs = &eo;
-  const Factorization f_obs = ilu_factor(a, iopts);
+  const Factorization f_obs = factor_for(a, be, iopts);
   CHECK_MSG(bitwise_equal(f_plain.lu.values(), f_obs.lu.values()),
             "%s t=%d instrumented factor", bname, t);
   CHECK_MSG(eo.has(obs::Region::kFactor), "%s t=%d factor stats", bname, t);
@@ -149,7 +157,7 @@ void check_trace_stream() {
     const CsrMatrix a = test_matrix();
     ThreadCountGuard guard(4);
     obs::ExecObs eo;
-    IluOptions iopts = base_opts(ExecBackend::kP2P, 4);
+    IluOptions iopts = base_opts(4);
     iopts.exec_obs = &eo;
     Factorization f = ilu_factor(a, iopts);
     const auto r = random_vector(a.rows(), 0xCAFE);
@@ -197,7 +205,7 @@ void check_trace_stream() {
 }
 
 /// A deep matrix whose default factor carries narrow-level regime tags:
-/// the hybrid executor traces its levels like the uniform branches do.
+/// the segment walk traces its levels like an untagged sweep does.
 void check_tagged_trace(const CsrMatrix& deep) {
   obs::TraceSession& ts = obs::TraceSession::instance();
   ts.clear();
@@ -205,7 +213,7 @@ void check_tagged_trace(const CsrMatrix& deep) {
   {
     ThreadCountGuard guard(4);
     obs::ExecObs eo;
-    IluOptions iopts = base_opts(ExecBackend::kP2P, 4);
+    IluOptions iopts = base_opts(4);
     iopts.exec_obs = &eo;
     const Factorization f = ilu_factor(deep, iopts);
     CHECK_MSG(f.fwd.hybrid() && f.bwd.hybrid(), "deep default untagged");
@@ -216,7 +224,7 @@ void check_tagged_trace(const CsrMatrix& deep) {
   }
   ts.disable();
   CHECK_MSG(scan_trace(ts).saw_level_span,
-            "no per-level spans from the hybrid executor");
+            "no per-level spans from the tagged sweep");
   ts.clear();
 }
 
@@ -242,7 +250,7 @@ std::pair<int, int> span_count(const obs::TraceSession& ts, const char* name) {
 void check_lower_trace(const CsrMatrix& a) {
   obs::TraceSession& ts = obs::TraceSession::instance();
   ThreadCountGuard guard(4);
-  Factorization f = ilu_factor(a, base_opts(ExecBackend::kP2P, 4));
+  Factorization f = ilu_factor(a, base_opts(4));
   CHECK_MSG(f.plan.num_lower_rows() >= 8, "lower trace: %d lower rows",
             f.plan.num_lower_rows());
   for (const int team : {4, 2, 1}) {
@@ -274,7 +282,7 @@ void check_prepare_spans(const CsrMatrix& a) {
   for (const int fill : {0, 1}) {
     ts.clear();
     ts.enable();
-    IluOptions opts = base_opts(ExecBackend::kP2P, 4);
+    IluOptions opts = base_opts(4);
     opts.fill_level = fill;
     const Factorization f = ilu_prepare(a, opts);
     ts.disable();
@@ -294,15 +302,15 @@ void check_prepare_spans(const CsrMatrix& a) {
 
 // --- (c) counter accounting identities -----------------------------------
 
-void check_counter_identities(const CsrMatrix& a, ExecBackend be, int t) {
+void check_counter_identities(const CsrMatrix& a, LevelRegime be, int t) {
   ThreadCountGuard guard(t);
-  const char* bname = be == ExecBackend::kP2P ? "p2p" : "barrier";
+  const char* bname = be == LevelRegime::kP2P ? "p2p" : "barrier";
   obs::ExecObs eo;
-  IluOptions iopts = base_opts(be, t);
+  IluOptions iopts = base_opts(t);
   iopts.exec_obs = &eo;
   Factorization f = ilu_factor(a, iopts);
-  // The identities below describe the uniform backends: pin them.
-  set_exec_backend(f, be);
+  // The identities below describe uniform tags: pin them.
+  tag_all_levels(f, be);
   eo.reset();  // keep the sweep arithmetic below to the applies
 
   const auto r = random_vector(a.rows(), 0xB00);
@@ -344,7 +352,7 @@ void check_counter_identities(const CsrMatrix& a, ExecBackend be, int t) {
       // Serial dispatch: no synchronization of either kind.
       CHECK_MSG(c.waits == 0 && c.barrier_waits == 0,
                 "%s %s t=1 sync counters nonzero", bname, rname);
-    } else if (be == ExecBackend::kP2P) {
+    } else if (be == LevelRegime::kP2P) {
       // One wait_for call per stored (pruned) dependency, per sweep.
       CHECK_MSG(c.waits == static_cast<std::uint64_t>(kSweeps) *
                                static_cast<std::uint64_t>(s.deps_kept),
@@ -355,11 +363,13 @@ void check_counter_identities(const CsrMatrix& a, ExecBackend be, int t) {
       CHECK_MSG(c.barrier_waits == 0, "%s %s t=%d p2p barrier_waits", bname,
                 rname, t);
     } else {
-      // Every thread crosses every level barrier, every sweep.
-      CHECK_MSG(c.barrier_waits == static_cast<std::uint64_t>(kSweeps) *
-                                       static_cast<std::uint64_t>(t) *
-                                       static_cast<std::uint64_t>(s.num_levels),
-                "%s %s t=%d barrier_waits %llu != sweeps*t*levels", bname,
+      // Every thread crosses every barrier between two levels, every sweep
+      // (the region join follows the last level).
+      CHECK_MSG(c.barrier_waits ==
+                    static_cast<std::uint64_t>(kSweeps) *
+                        static_cast<std::uint64_t>(t) *
+                        static_cast<std::uint64_t>(s.num_levels - 1),
+                "%s %s t=%d barrier_waits %llu != sweeps*t*(levels-1)", bname,
                 rname, t, static_cast<unsigned long long>(c.barrier_waits));
       CHECK_MSG(c.waits == 0, "%s %s t=%d barrier-path waits", bname, rname,
                 t);
@@ -378,7 +388,8 @@ void check_counter_identities(const CsrMatrix& a, ExecBackend be, int t) {
   }
 }
 
-/// Same-tag level runs of a hybrid schedule (each opens with a barrier).
+/// Same-tag level runs of a tagged schedule (each but the first opens with
+/// a barrier).
 std::uint64_t regime_segments(const ExecSchedule& s) {
   std::uint64_t segs = 0;
   for (index_t l = 0; l < s.num_levels; ++l) {
@@ -388,13 +399,13 @@ std::uint64_t regime_segments(const ExecSchedule& s) {
 }
 
 /// Default (tagged) factor of a deep matrix: every stored wait is called
-/// once per sweep, and every thread crosses each segment-entry barrier once
-/// per sweep (the default rule tags only kSerial/kP2P, so no per-level
-/// barriers).
+/// once per sweep, and every thread crosses each segment-entry barrier
+/// after the first segment once per sweep (the default rule tags only
+/// kSerial/kP2P, so no per-level barriers).
 void check_tagged_counter_identities(const CsrMatrix& deep, int t) {
   ThreadCountGuard guard(t);
   obs::ExecObs eo;
-  IluOptions iopts = base_opts(ExecBackend::kP2P, t);
+  IluOptions iopts = base_opts(t);
   iopts.exec_obs = &eo;
   const Factorization f = ilu_factor(deep, iopts);
   CHECK_MSG(f.fwd.hybrid() && f.bwd.hybrid(), "t=%d deep default untagged",
@@ -421,9 +432,10 @@ void check_tagged_counter_identities(const CsrMatrix& deep, int t) {
               static_cast<unsigned long long>(c.waits));
     const std::uint64_t crossings = kSweeps *
                                     static_cast<std::uint64_t>(t) *
-                                    regime_segments(s);
+                                    (regime_segments(s) - 1);
     CHECK_MSG(c.barrier_waits == crossings,
-              "tagged %s t=%d barrier_waits %llu != sweeps*t*segments %llu",
+              "tagged %s t=%d barrier_waits %llu != sweeps*t*(segments-1) "
+              "%llu",
               rname, t, static_cast<unsigned long long>(c.barrier_waits),
               static_cast<unsigned long long>(crossings));
     std::uint64_t rows = 0;
@@ -472,7 +484,7 @@ void check_metrics_determinism(const CsrMatrix& a) {
   const auto run_metrics = [&](int t) {
     ThreadCountGuard guard(t);
     obs::ExecObs eo;
-    IluOptions iopts = base_opts(ExecBackend::kP2P, t);
+    IluOptions iopts = base_opts(t);
     iopts.exec_obs = &eo;
     Factorization f = ilu_factor(a, iopts);
     eo.reset();
@@ -512,7 +524,7 @@ void check_metrics_determinism(const CsrMatrix& a) {
 
 int main() {
   const CsrMatrix a = test_matrix();
-  for (const ExecBackend be : {ExecBackend::kP2P, ExecBackend::kBarrier}) {
+  for (const LevelRegime be : {LevelRegime::kP2P, LevelRegime::kBarrier}) {
     for (const int t : {1, 2, 4, 8}) {
       check_parity(a, be, t);
       check_counter_identities(a, be, t);

@@ -7,8 +7,9 @@
 //     every team > 1, untagged at T = 1 — verifier-clean, and their
 //     ilu_apply, ilu_apply_spmv, ilu_apply_panel and pcg_many results are
 //     bitwise equal to the serial reference at T ∈ {1, 2, 4, 8};
-//   * a wide-level matrix (laplacian3d) and every kBarrier-backend factor
-//     stay untagged;
+//   * a wide-level matrix (laplacian3d) stays untagged, and tag_all_levels
+//     replaces the default tags wholesale: all kBarrier (CSR-LS, bitwise
+//     equal to serial) or none (kP2P);
 //   * re-tagging an already tagged schedule with other thresholds starts
 //     from the full uniform waits: the result is field-for-field a fresh
 //     build tagged once, verifier-clean, and bitwise equal to serial; a
@@ -145,7 +146,8 @@ void check_deep_default(const std::string& name, int t) {
   CHECK_MSG(bitwise_equal(x, x_ref), "%s t=%d pcg_many solutions", nm, t);
 }
 
-/// Wide levels and the barrier backend keep the uniform schedules.
+/// Wide levels keep the uniform schedules; tag_all_levels overrides the
+/// default rule on deep and wide matrices alike.
 void check_untagged() {
   const CsrMatrix grid = gen::laplacian3d(16, 16, 16, 7);
   const CsrMatrix deep =
@@ -155,13 +157,21 @@ void check_untagged() {
     const Factorization fg = ilu_prepare(grid, team_opts(t));
     CHECK_MSG(!fg.fwd.hybrid() && !fg.bwd.hybrid(),
               "laplacian3d t=%d tagged", t);
-    IluOptions bopts = team_opts(t);
-    bopts.exec_backend = ExecBackend::kBarrier;
     for (const CsrMatrix* m : {&grid, &deep}) {
-      const Factorization fb = ilu_prepare(*m, bopts);
+      const int n = static_cast<int>(m->rows());
+      Factorization fb = ilu_factor(*m, team_opts(t));
+      tag_all_levels(fb, LevelRegime::kBarrier);
+      CHECK_MSG(test::all_barrier(fb.fwd) && test::all_barrier(fb.bwd),
+                "barrier tags t=%d n=%d mixed", t, n);
+      const auto r = random_vector(fb.n(), 0x7A65);
+      std::vector<value_t> z(r.size());
+      SolveWorkspace ws;
+      ilu_apply(fb, r, z, ws);
+      CHECK_MSG(bitwise_equal(z, serial_apply(fb, r)),
+                "barrier tags t=%d n=%d apply", t, n);
+      tag_all_levels(fb, LevelRegime::kP2P);
       CHECK_MSG(!fb.fwd.hybrid() && !fb.bwd.hybrid(),
-                "barrier backend t=%d n=%d tagged", t,
-                static_cast<int>(m->rows()));
+                "p2p tags t=%d n=%d tagged", t, n);
     }
   }
 }
@@ -195,9 +205,9 @@ void check_retag(const std::string& name, int t) {
     f.numeric_cache = ScheduleCache{};
 
     // Field-for-field what tagging a fresh uniform build once gives.
-    ExecSchedule ff = build_upper_forward_schedule(
-        f.lu, f.plan.upper_level_ptr, ExecBackend::kP2P, t, chunk);
-    ExecSchedule fb = build_backward_schedule(f.lu, ExecBackend::kP2P, t, chunk);
+    ExecSchedule ff =
+        build_upper_forward_schedule(f.lu, f.plan.upper_level_ptr, t, chunk);
+    ExecSchedule fb = build_backward_schedule(f.lu, t, chunk);
     apply_level_tags(ff, low, tf);
     apply_level_tags(fb, up, tb);
     CHECK_MSG(f.fwd.level_tags == ff.level_tags &&

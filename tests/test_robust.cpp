@@ -1,9 +1,9 @@
-// Breakdown-safety properties: cooperative abort of the exec backends under
-// fault injection (bounded termination, structured status, no throw from
-// inside a parallel region), the shifted-ILU retry ladder and preconditioner
-// fallback chain of RobustSolver, the Krylov breakdown/non-finite/stagnation
-// guards, and WorkspacePool lease exception-safety when an abort unwinds
-// through the batched apply path.
+// Breakdown-safety properties: cooperative abort of the executor (P2P and
+// all-barrier CSR-LS tags) under fault injection (bounded termination,
+// structured status, no throw from inside a parallel region), the shifted-ILU
+// retry ladder and preconditioner fallback chain of RobustSolver, the Krylov
+// breakdown/non-finite/stagnation guards, and WorkspacePool lease
+// exception-safety when an abort unwinds through the batched apply path.
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -25,17 +25,15 @@ namespace {
 using test::bitwise_equal;
 using test::random_vector;
 
-IluOptions pinned_opts(ExecBackend backend, int threads) {
+IluOptions pinned_opts(int threads) {
   IluOptions opts;
-  opts.exec_backend = backend;
   opts.num_threads = threads;
   opts.retarget_oversubscribed = false;  // force full scheduled width
   return opts;
 }
 
-const char* backend_name(ExecBackend b) {
-  return b == ExecBackend::kP2P ? "p2p" : "barrier";
-}
+/// `barrier` selects the CSR-LS sweep: every level tagged kBarrier.
+const char* sweep_name(bool barrier) { return barrier ? "barrier" : "p2p"; }
 
 /// A hook poisoning exactly one (site, permuted row). Only that row can win
 /// the abort CAS, so the reported row is deterministic at any thread count.
@@ -45,32 +43,34 @@ FaultHook poison(FaultSite site, index_t row) {
 
 // --- fault injection: factorization ---------------------------------------
 
-void check_factor_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
+void check_factor_abort(const CsrMatrix& a, bool barrier, int threads) {
   ThreadCountGuard guard(threads);
-  IluOptions opts = pinned_opts(backend, threads);
+  IluOptions opts = pinned_opts(threads);
   const index_t target = a.rows() / 2;
   opts.fault_hook = poison(FaultSite::kFactorRow, target);
 
   Factorization f = ilu_prepare(a, opts);
+  if (barrier) tag_all_levels(f, LevelRegime::kBarrier);
   const FactorStatus st = ilu_factor_numeric_status(f);
-  CHECK_MSG(!st.ok(), "factor fault ignored (%s, t=%d)", backend_name(backend),
+  CHECK_MSG(!st.ok(), "factor fault ignored (%s, t=%d)", sweep_name(barrier),
             threads);
   CHECK_MSG(st.row == target, "factor abort row %lld != %lld (%s, t=%d)",
             static_cast<long long>(st.row), static_cast<long long>(target),
-            backend_name(backend), threads);
+            sweep_name(barrier), threads);
 
   // The factor is reusable after the abort: rescatter and run hook-free.
   f.opts.fault_hook = nullptr;
   const FactorStatus ok = ilu_refactor_status(f, a);
   CHECK_MSG(ok.ok(), "refactor after abort failed (%s, t=%d)",
-            backend_name(backend), threads);
+            sweep_name(barrier), threads);
 }
 
 // --- fault injection: triangular sweeps (plain, fused, panel) --------------
 
-void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
+void check_sweep_abort(const CsrMatrix& a, bool barrier, int threads) {
   ThreadCountGuard guard(threads);
-  Factorization f = ilu_factor(a, pinned_opts(backend, threads));
+  Factorization f = barrier ? test::ilu_factor_csrls(a, pinned_opts(threads))
+                            : ilu_factor(a, pinned_opts(threads));
   const FusedApplySpmv fs = build_fused_apply_spmv(f, a);
   const index_t n = f.n();
   const index_t target = n / 3;
@@ -87,7 +87,7 @@ void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
     CHECK_MSG(!st.ok() && st.row == target,
               "sweep abort row %lld != %lld (site=%d, %s, t=%d)",
               static_cast<long long>(st.row), static_cast<long long>(target),
-              static_cast<int>(site), backend_name(backend), threads);
+              static_cast<int>(site), sweep_name(barrier), threads);
 
     // Throwing form: AbortError AFTER the region drained (never from a
     // worker thread — a thrown exception inside the region would terminate).
@@ -98,7 +98,7 @@ void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
       threw = true;
     }
     CHECK_MSG(threw, "ilu_apply did not convert abort (%s, t=%d)",
-              backend_name(backend), threads);
+              sweep_name(barrier), threads);
 
     // Fused apply+SpMV: the abort must also drain the SpMV chunk waits.
     threw = false;
@@ -108,7 +108,7 @@ void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
       threw = true;
     }
     CHECK_MSG(threw, "fused apply did not abort (site=%d, %s, t=%d)",
-              static_cast<int>(site), backend_name(backend), threads);
+              static_cast<int>(site), sweep_name(barrier), threads);
   }
 
   // Panel paths, both sites.
@@ -125,7 +125,7 @@ void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
       threw = true;
     }
     CHECK_MSG(threw, "panel apply did not abort (site=%d, %s, t=%d)",
-              static_cast<int>(site), backend_name(backend), threads);
+              static_cast<int>(site), sweep_name(barrier), threads);
 
     threw = false;
     try {
@@ -134,7 +134,7 @@ void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
       threw = true;
     }
     CHECK_MSG(threw, "fused panel apply did not abort (site=%d, %s, t=%d)",
-              static_cast<int>(site), backend_name(backend), threads);
+              static_cast<int>(site), sweep_name(barrier), threads);
   }
 
   // Clearing the hook restores the unguarded paths bitwise.
@@ -144,14 +144,14 @@ void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
   ilu_apply_serial(f, r, z_ref, ws_ref);
   ilu_apply(f, r, z, ws);
   CHECK_MSG(bitwise_equal(z, z_ref), "post-abort apply diverged (%s, t=%d)",
-            backend_name(backend), threads);
+            sweep_name(barrier), threads);
 }
 
 // --- WorkspacePool lease exception-safety ----------------------------------
 
 void check_lease_safety(const CsrMatrix& a) {
   ThreadCountGuard guard(4);
-  Factorization f = ilu_factor(a, pinned_opts(ExecBackend::kP2P, 4));
+  Factorization f = ilu_factor(a, pinned_opts(4));
   WorkspacePool pool;
   const PanelPrecondFn precond = ilu_panel_preconditioner(f, pool);
 
@@ -261,7 +261,7 @@ void check_krylov_guards() {
 
 // --- RobustSolver: recovery of every in-tree degenerate matrix -------------
 
-void check_robust_zero_diag(ExecBackend backend) {
+void check_robust_zero_diag(bool barrier) {
   const CsrMatrix a = gen::make_suite_matrix("zero_diag").matrix;
   const auto xt = random_vector(a.rows(), 0xD1A);
   std::vector<value_t> bb(xt.size());
@@ -270,11 +270,12 @@ void check_robust_zero_diag(ExecBackend backend) {
   std::vector<value_t> x(xt.size(), 0.0);
 
   RobustOptions opts;
-  opts.ilu = pinned_opts(backend, max_threads());
+  opts.ilu = pinned_opts(max_threads());
   RobustSolver solver(a, opts);
+  if (barrier) tag_all_levels(*solver.factorization(), LevelRegime::kBarrier);
   CHECK(solver.symmetric());
   const SolveReport rep = solver.solve(bb, x);
-  CHECK_MSG(rep.converged, "zero_diag (%s): %s", backend_name(backend),
+  CHECK_MSG(rep.converged, "zero_diag (%s): %s", sweep_name(barrier),
             rep.summary().c_str());
   CHECK(rep.cause == FailureCause::kNone);
   // Attempt trail: the unshifted rung must have died at the injected pivot
@@ -284,7 +285,8 @@ void check_robust_zero_diag(ExecBackend backend) {
   CHECK(rep.attempts[0].level == PrecondLevel::kIlu);
   CHECK(rep.level_used == PrecondLevel::kShiftedIlu);
   CHECK_MSG(rep.shift_used > 0, "recovered without a shift?");
-  CHECK(rep.backend == backend);
+  // Every rung re-ran the numeric phase on the solver's (re-tagged) factor.
+  CHECK(test::all_barrier(solver.factorization()->fwd) == barrier);
 }
 
 void check_robust_saddle() {
@@ -380,20 +382,20 @@ int main() {
   const CsrMatrix grid = gen::laplacian2d(40, 40, 5);
   CsrMatrix fem = gen::random_fem(1200, 9, 0x7E57);
 
-  for (ExecBackend backend : {ExecBackend::kP2P, ExecBackend::kBarrier}) {
+  for (bool barrier : {false, true}) {
     for (int threads : {1, 2, 4, 8}) {
-      check_factor_abort(grid, backend, threads);
-      check_factor_abort(fem, backend, threads);
-      check_sweep_abort(grid, backend, threads);
-      check_sweep_abort(fem, backend, threads);
+      check_factor_abort(grid, barrier, threads);
+      check_factor_abort(fem, barrier, threads);
+      check_sweep_abort(grid, barrier, threads);
+      check_sweep_abort(fem, barrier, threads);
     }
   }
 
   check_lease_safety(grid);
   check_krylov_guards();
 
-  check_robust_zero_diag(ExecBackend::kP2P);
-  check_robust_zero_diag(ExecBackend::kBarrier);
+  check_robust_zero_diag(false);
+  check_robust_zero_diag(true);
   check_robust_saddle();
   check_robust_near_singular();
   check_robust_report_contract();

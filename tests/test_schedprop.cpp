@@ -18,7 +18,8 @@
 // each row's dependencies from a per-row stream keyed on (seed, row), so a
 // size-n' prefix of the size-n matrix is itself a valid test case and the
 // shrink loop just re-runs smaller n until the failure disappears, then
-// prints the minimal reproducing (seed, n, T, chunk, backend).
+// prints the minimal reproducing (seed, n, T, chunk, barrier). Half the
+// trials tag every level kBarrier (CSR-LS), which prunes every wait.
 //
 // A second part holds every wait list the parallel builder produces over
 // the suite matrices to the serial builder it replaced (the oracle below).
@@ -110,7 +111,7 @@ struct Trial {
   index_t n = 0;
   int threads = 0;
   index_t chunk = 0;
-  ExecBackend backend = ExecBackend::kP2P;
+  bool barrier = false;  ///< every level tagged kBarrier (CSR-LS)
 };
 
 /// Empty = pass; otherwise a description of what broke.
@@ -118,9 +119,14 @@ std::string run_trial(const Trial& tr) {
   const CsrMatrix m = gen_dag(tr.seed, tr.n);
   const DepsFn deps = lower_triangular_deps(m);
   const LevelSets ls = compute_level_sets_lower(m);
-  const ExecSchedule s =
-      build_exec_schedule(tr.backend, tr.n, ls.level_ptr, ls.rows_by_level,
-                          deps, tr.threads, tr.chunk);
+  ExecSchedule s = build_exec_schedule(tr.n, ls.level_ptr, ls.rows_by_level,
+                                       deps, tr.threads, tr.chunk);
+  if (tr.barrier) {
+    apply_level_tags(s, deps,
+                     std::vector<std::uint8_t>(
+                         uz(s.num_levels),
+                         static_cast<std::uint8_t>(LevelRegime::kBarrier)));
+  }
 
   const verify::VerifyReport rep = verify::verify_schedule(s, deps);
   if (!rep.ok()) {
@@ -185,10 +191,10 @@ void shrink_and_report(Trial tr, const std::string& first_failure) {
   }
   const std::string msg = run_trial(tr);
   CHECK_MSG(false,
-            "minimal repro: seed=0x%llx n=%d T=%d chunk=%d backend=%s: %s",
+            "minimal repro: seed=0x%llx n=%d T=%d chunk=%d barrier=%d: %s",
             static_cast<unsigned long long>(tr.seed),
             static_cast<int>(tr.n), tr.threads, static_cast<int>(tr.chunk),
-            exec_backend_name(tr.backend), msg.c_str());
+            tr.barrier ? 1 : 0, msg.c_str());
 }
 
 // --- wait-list oracle --------------------------------------------------------
@@ -364,18 +370,6 @@ std::pair<Waits, Waits> oracle_fused_waits(const FusedApplySpmv& fs,
   return {std::move(spmv), std::move(fwd_set)};
 }
 
-/// Dependencies of the parallel corner schedule: local corner row i
-/// (permuted row n_upper + i) depends on the corner columns left of it.
-DepsFn corner_deps(const Factorization& f) {
-  return [&f](index_t i, const std::function<void(index_t)>& yield) {
-    const index_t n_upper = f.plan.n_upper;
-    for (index_t c : f.lu.row_cols(n_upper + i)) {
-      if (c >= n_upper + i) break;
-      if (c >= n_upper) yield(c - n_upper);
-    }
-  };
-}
-
 /// Tags for the tagged variant: the default narrow-level rule when it fires
 /// on `s`, else a fixed mix of every regime so tagging is always exercised.
 std::vector<std::uint8_t> test_tags(const ExecSchedule& s, index_t alpha) {
@@ -395,16 +389,14 @@ std::vector<std::uint8_t> test_tags(const ExecSchedule& s, index_t alpha) {
 void check_wait_oracle(const std::string& name, const CsrMatrix& a) {
   IluOptions opts;
   opts.num_threads = 4;
-  opts.parallel_corner = true;
   const Factorization f = ilu_prepare(a, opts);
   // No lower stage: the only plan shape with the fused forward wait set.
-  opts.lower_method = LowerMethod::kNone;
+  opts.lower_stage = false;
   const Factorization g = ilu_prepare(a, opts);
   const DepsFn low = lower_triangular_deps(f.lu);
   const DepsFn up = upper_triangular_deps(f.lu);
   const DepsFn glow = lower_triangular_deps(g.lu);
   const DepsFn gup = upper_triangular_deps(g.lu);
-  const DepsFn cdeps = corner_deps(f);
   const index_t alpha = f.plan.min_level_rows;
   const auto untagged = [](ExecSchedule s) {
     s.level_tags.clear();  // retarget then rebuilds the uniform waits
@@ -412,8 +404,6 @@ void check_wait_oracle(const std::string& name, const CsrMatrix& a) {
   };
 
   // The factor's own schedules, as ilu_prepare built them.
-  CHECK_MSG(oracle_schedule_waits(f.corner, cdeps) == waits_of(f.corner),
-            "%s corner", name.c_str());
   {
     const ExecSchedule fu = retarget(untagged(f.fwd), low, f.fwd.threads);
     const ExecSchedule bu = retarget(untagged(f.bwd), up, f.bwd.threads);
@@ -428,7 +418,7 @@ void check_wait_oracle(const std::string& name, const CsrMatrix& a) {
 
   // Every wait set at team size T, built by the current builder team.
   struct Built {
-    ExecSchedule fwd, bwd, fwd_tagged, bwd_tagged, corner, gfwd, gbwd;
+    ExecSchedule fwd, bwd, fwd_tagged, bwd_tagged, gfwd, gbwd;
     FusedApplySpmv fs, gs;
   };
   const auto build_all = [&](int T) {
@@ -443,7 +433,6 @@ void check_wait_oracle(const std::string& name, const CsrMatrix& a) {
     if (!btags.empty()) apply_level_tags(b.bwd_tagged, up, btags);
     // Re-tagging a tagged schedule rebuilds its waits through the builder.
     if (b.fwd_tagged.hybrid()) apply_level_tags(b.fwd_tagged, low, ftags);
-    b.corner = retarget(f.corner, cdeps, T);
     b.gfwd = retarget(untagged(g.fwd), glow, T);
     b.gbwd = retarget(untagged(g.bwd), gup, T);
     b.fs = build_fused_apply_spmv(b.bwd, f.plan, a);
@@ -453,9 +442,9 @@ void check_wait_oracle(const std::string& name, const CsrMatrix& a) {
   };
   const auto all_waits = [](const Built& b) {
     return std::vector<Waits>{
-        waits_of(b.fwd),    waits_of(b.bwd),      waits_of(b.fwd_tagged),
-        waits_of(b.bwd_tagged), waits_of(b.corner), waits_of(b.gfwd),
-        waits_of(b.gbwd),   fused_waits(b.fs),    fused_waits(b.gs),
+        waits_of(b.fwd),        waits_of(b.bwd),  waits_of(b.fwd_tagged),
+        waits_of(b.bwd_tagged), waits_of(b.gfwd), waits_of(b.gbwd),
+        fused_waits(b.fs),      fused_waits(b.gs),
         fused_waits(b.gs, /*fwd_set=*/true)};
   };
 
@@ -486,8 +475,6 @@ void check_wait_oracle(const std::string& name, const CsrMatrix& a) {
                                          b.bwd_tagged.level_tags)) ==
                   waits_of(b.bwd_tagged),
               "%s tagged bwd T=%d", name.c_str(), T);
-    CHECK_MSG(oracle_schedule_waits(b.corner, cdeps) == waits_of(b.corner),
-              "%s corner T=%d", name.c_str(), T);
     if (T == 1) continue;  // a 1-thread companion has no waits
     CHECK_MSG(oracle_fused_waits(b.fs, b.bwd, nullptr, f.plan, a).first ==
                   fused_waits(b.fs),
@@ -512,8 +499,7 @@ int main() {
     tr.n = static_cast<index_t>(16 + splitmix(st) % 285);
     tr.threads = static_cast<int>(1 + splitmix(st) % 8);
     tr.chunk = kChunks[splitmix(st) % 6];
-    tr.backend =
-        (splitmix(st) & 1) != 0 ? ExecBackend::kP2P : ExecBackend::kBarrier;
+    tr.barrier = (splitmix(st) & 1) == 0;
     const std::string failure = run_trial(tr);
     if (!failure.empty()) {
       shrink_and_report(tr, failure);

@@ -29,8 +29,8 @@ void check_apply_parity(const char* name, const CsrMatrix& a, IluOptions opts) {
   ilu_apply(f, r, z_par, ws_par);
   ilu_apply_serial(f, r, z_ser, ws_ser);
   CHECK_MSG(javelin::test::bitwise_equal(z_par, z_ser),
-            "%s threads=%d method=%s", name, f.plan.threads,
-            lower_method_name(f.plan.method));
+            "%s threads=%d lower_rows=%d", name, f.plan.threads,
+            f.plan.num_lower_rows());
 
   // Repeat with the same workspace: reuse must not perturb results.
   std::vector<value_t> z2(r.size());
@@ -81,7 +81,7 @@ int main() {
     opts.fill_level = 1;
     check_apply_parity("grid-f1", grid, opts);
     opts.fill_level = 0;
-    opts.lower_method = LowerMethod::kNone;
+    opts.lower_stage = false;
     check_apply_parity("chain-nolower", chain, opts);
   }
 

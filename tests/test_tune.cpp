@@ -9,10 +9,11 @@
 //     plain, fused and panel applies stay bitwise equal to the serial
 //     reference;
 //   * hybrid schedules (forced regime mixes) are bitwise-identical to
-//     serial across backends and T in {1, 2, 4, 8} on the plain, fused and
-//     panel paths;
-//   * set_exec_backend after a hybrid pin returns to a race-free uniform
-//     schedule (the pruned waits are rebuilt);
+//     serial across T in {1, 2, 4, 8} on the plain, fused and panel paths;
+//   * tag_all_levels after a hybrid pin — all-barrier (CSR-LS), then plain
+//     P2P — stays race-free (the pruned waits are rebuilt);
+//   * a rigged cost model pins exactly the candidate it names, the barrier
+//     candidate as all-kBarrier tags;
 //   * TuneReport::export_metrics emits the decision counters.
 #include <string>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "test_util.hpp"
 
 using namespace javelin;
+using javelin::test::all_barrier;
 using javelin::test::bitwise_equal;
 using javelin::test::random_vector;
 
@@ -107,12 +109,16 @@ void check_hybrid_parity(const char* name, const CsrMatrix& a) {
     any_hybrid = force_hybrid(f, threads) || any_hybrid;
     check_policy_parity(name, "hybrid", f, a);
 
-    // Pinning a uniform backend afterwards must rebuild the pruned waits
-    // (a racy schedule here would show up as a parity break or a hang).
-    set_exec_backend(f, ExecBackend::kBarrier);
-    CHECK_MSG(!f.fwd.hybrid() && !f.bwd.hybrid(),
-              "%s t=%d tags survive set_exec_backend", name, threads);
+    // Re-tagging uniformly afterwards must rebuild the pruned waits (a racy
+    // schedule here would show up as a parity break or a hang).
+    tag_all_levels(f, LevelRegime::kBarrier);
+    CHECK_MSG(all_barrier(f.fwd) && all_barrier(f.bwd),
+              "%s t=%d mixed tags survive tag_all_levels", name, threads);
     check_policy_parity(name, "post-hybrid barrier", f, a);
+    tag_all_levels(f, LevelRegime::kP2P);
+    CHECK_MSG(!f.fwd.hybrid() && !f.bwd.hybrid(),
+              "%s t=%d tags survive tag_all_levels(kP2P)", name, threads);
+    check_policy_parity(name, "post-barrier p2p", f, a);
   }
   CHECK_MSG(any_hybrid, "%s never produced a hybrid schedule", name);
 }
@@ -163,7 +169,8 @@ void check_deterministic_tuner(const char* name, const CsrMatrix& a) {
 
 /// A rigged cost model must be obeyed verbatim — this is how tests and
 /// bench --verify pin an exact policy.
-void check_forced_winner(const char* name, const CsrMatrix& a) {
+void check_forced_winner(const char* name, const CsrMatrix& a,
+                         tune::TuneSync sync, const char* want) {
   ThreadCountGuard guard(4);
   IluOptions opts;
   opts.num_threads = 4;
@@ -171,16 +178,22 @@ void check_forced_winner(const char* name, const CsrMatrix& a) {
   Factorization f = ilu_factor(a, opts);
 
   tune::TuneOptions topt;
-  topt.cost_model = [](const tune::TuneContext&,
-                       const tune::TuneCandidate& c) {
-    return (c.hybrid && c.threads == 4) ? 1.0 : 100.0;
+  topt.cost_model = [sync](const tune::TuneContext&,
+                           const tune::TuneCandidate& c) {
+    return (c.sync == sync && c.threads == 4 && c.chunk_rows == 0) ? 1.0
+                                                                    : 100.0;
   };
   const tune::TuneReport rep = tune::autotune(f, topt);
-  CHECK_MSG(rep.chosen.name() == "hybrid/t4", "%s chose %s", name,
-            rep.chosen.name().c_str());
+  CHECK_MSG(rep.chosen.name() == want, "%s chose %s, want %s", name,
+            rep.chosen.name().c_str(), want);
   CHECK(f.opts.tuned_threads == 4);
-  CHECK_MSG(rep.hybrid_applied, "%s hybrid tags did not survive", name);
-  check_policy_parity(name, "forced-hybrid", f, a);
+  if (sync == tune::TuneSync::kHybrid) {
+    CHECK_MSG(rep.hybrid_applied, "%s hybrid tags did not survive", name);
+  } else if (sync == tune::TuneSync::kBarrier) {
+    CHECK_MSG(!rep.hybrid_applied && all_barrier(f.fwd) && all_barrier(f.bwd),
+              "%s barrier winner is not all-kBarrier tags", name);
+  }
+  check_policy_parity(name, want, f, a);
 }
 
 /// Wall-clock mode smoke: times real sweeps, applies the argmin, results
@@ -216,7 +229,8 @@ int main() {
   check_deterministic_tuner("grid", grid);
   check_deterministic_tuner("chain", chain);
 
-  check_forced_winner("chain", chain);
+  check_forced_winner("chain", chain, tune::TuneSync::kHybrid, "hybrid/t4");
+  check_forced_winner("chain", chain, tune::TuneSync::kBarrier, "barrier/t4");
   check_wallclock_smoke("grid", grid);
 
   return javelin::test::finish("test_tune");

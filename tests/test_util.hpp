@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "javelin/ilu/factorization.hpp"
 #include "javelin/support/types.hpp"
 
 namespace javelin::test {
@@ -68,6 +69,25 @@ inline value_t max_abs_diff(std::span<const value_t> a,
     d = std::max(d, std::abs(a[i] - b[i]));
   }
   return d;
+}
+
+/// The CSR-LS baseline factor: ilu_prepare, every level of both sweeps
+/// tagged kBarrier, then the numeric phase — so the factor itself is also
+/// computed barrier-to-barrier, not only the sweeps that use it.
+inline Factorization ilu_factor_csrls(const CsrMatrix& a,
+                                      const IluOptions& opts = {}) {
+  Factorization f = ilu_prepare(a, opts);
+  tag_all_levels(f, LevelRegime::kBarrier);
+  ilu_factor_numeric(f);
+  return f;
+}
+
+/// True when every level of s is tagged kBarrier.
+inline bool all_barrier(const ExecSchedule& s) {
+  for (std::uint8_t b : s.level_tags) {
+    if (b != static_cast<std::uint8_t>(LevelRegime::kBarrier)) return false;
+  }
+  return static_cast<index_t>(s.level_tags.size()) == s.num_levels;
 }
 
 inline int finish(const char* name) {

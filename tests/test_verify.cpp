@@ -1,10 +1,11 @@
 // Tests of the static schedule verifier (verify/):
 //
 //   * the verifier is CLEAN on every suite + degenerate matrix, forward and
-//     backward schedules, under both backend tags, and on retargeted
-//     schedules for every T in {1..16} (verify_retarget also proves the
-//     retarget bitwise-equivalent to a fresh build) — far beyond the thread
-//     counts bitwise-parity tests can afford to execute;
+//     backward schedules, as built and with every level tagged kBarrier
+//     (CSR-LS), and on retargeted schedules for every T in {1..16}
+//     (verify_retarget also proves the retarget bitwise-equivalent to a fresh
+//     build) — far beyond the thread counts bitwise-parity tests can afford to
+//     execute;
 //   * coverage accounting is exact: waits_total == deps_kept, the
 //     direct/regime/transitive split sums to deps_total (regime coverage
 //     only on tagged default factors), nothing uncovered;
@@ -59,7 +60,7 @@ bool is_real_dep(const DepsFn& deps, index_t consumer, index_t producer) {
 }
 
 /// Every schedule of every suite/degenerate matrix must verify clean —
-/// planned team, both backend tags, and retargets across T in {1..16}.
+/// planned team, all-kBarrier tags, and retargets across T in {1..16}.
 void check_matrix_clean(const std::string& name) {
   const gen::SuiteEntry e = gen::make_suite_matrix(name, small_scale());
   ThreadCountGuard guard(4);
@@ -95,20 +96,36 @@ void check_matrix_clean(const std::string& name) {
   CHECK_MSG(fwd_rep.stats.deps_uncovered == 0, "%s fwd uncovered",
             name.c_str());
 
-  // The analysis is backend-complete (level AND wait phases always run),
-  // so flipping the tag — what set_exec_backend does in place — must not
-  // change the verdict.
-  ExecSchedule flipped = f.fwd;
-  flipped.backend = ExecBackend::kBarrier;
-  const VerifyReport flip_rep = verify::verify_schedule(flipped, low);
-  CHECK_MSG(flip_rep.ok(), "%s fwd barrier tag: %s", name.c_str(),
-            flip_rep.summary().c_str());
+  // CSR-LS — every level tagged kBarrier, what tag_all_levels installs —
+  // prunes every stored wait; the sync-node model must still prove each
+  // dependency covered, here and at every retargeted team below.
+  ExecSchedule csrls = f.fwd;
+  apply_level_tags(csrls, low,
+                   std::vector<std::uint8_t>(
+                       static_cast<std::size_t>(csrls.num_levels),
+                       static_cast<std::uint8_t>(LevelRegime::kBarrier)));
+  const VerifyReport ls_rep = verify::verify_schedule(csrls, low);
+  CHECK_MSG(ls_rep.ok(), "%s fwd barrier tags: %s", name.c_str(),
+            ls_rep.summary().c_str());
+  CHECK_MSG(csrls.num_levels == 0 || csrls.deps_kept == 0,
+            "%s fwd barrier tags kept %d waits", name.c_str(),
+            csrls.deps_kept);
+  CHECK_MSG(ls_rep.stats.deps_uncovered == 0 &&
+                ls_rep.stats.deps_covered_regime ==
+                    ls_rep.stats.deps_cross_thread,
+            "%s fwd barrier tags: regime covers %lld of %lld deps",
+            name.c_str(),
+            static_cast<long long>(ls_rep.stats.deps_covered_regime),
+            static_cast<long long>(ls_rep.stats.deps_cross_thread));
 
   for (int T = 1; T <= 16; ++T) {
     const VerifyReport rf = verify::verify_retarget(f.fwd, low, T);
     const VerifyReport rb = verify::verify_retarget(f.bwd, up, T);
+    const VerifyReport rl = verify::verify_retarget(csrls, low, T);
     CHECK_MSG(rf.ok(), "%s fwd retarget T=%d: %s", name.c_str(), T,
               rf.summary().c_str());
+    CHECK_MSG(rl.ok(), "%s fwd barrier-tag retarget T=%d: %s", name.c_str(),
+              T, rl.summary().c_str());
     CHECK_MSG(rb.ok(), "%s bwd retarget T=%d: %s", name.c_str(), T,
               rb.summary().c_str());
   }
@@ -223,7 +240,7 @@ void check_mutations(const std::string& name, int threads, index_t chunk) {
   // The wait mutations need stored waits; a default factor of a deep matrix
   // serializes its narrow levels and keeps almost none, so pin the uniform
   // P2P schedules.
-  set_exec_backend(f, ExecBackend::kP2P);
+  tag_all_levels(f, LevelRegime::kP2P);
   const DepsFn low = lower_triangular_deps(f.lu);
   const DepsFn up = upper_triangular_deps(f.lu);
 
@@ -258,7 +275,7 @@ void check_hybrid(const std::string& name, int threads, index_t chunk,
   Factorization f = ilu_prepare(e.matrix, opts);
   // The base is the uniform P2P schedule the tags prune from (the default
   // factor may already carry narrow-level tags).
-  set_exec_backend(f, ExecBackend::kP2P);
+  tag_all_levels(f, LevelRegime::kP2P);
   const DepsFn low = lower_triangular_deps(f.lu);
   const DepsFn up = upper_triangular_deps(f.lu);
 
@@ -327,7 +344,6 @@ void check_wired_layers() {
     opts.num_threads = 4;
     opts.retarget_oversubscribed = false;
     opts.verify_schedules = true;
-    opts.parallel_corner = true;  // corner schedule verified in ilu_prepare
     return ilu_factor(e.matrix, opts);
   }();
   const auto r = javelin::test::random_vector(f.n(), 0xC0FFEE);
@@ -359,7 +375,7 @@ void check_structural_edges() {
   opts.retarget_oversubscribed = false;
   opts.verify_schedules = false;
   Factorization f = ilu_prepare(e.matrix, opts);
-  set_exec_backend(f, ExecBackend::kP2P);  // uniform: stored waits to cut
+  tag_all_levels(f, LevelRegime::kP2P);  // uniform: stored waits to cut
   const DepsFn low = lower_triangular_deps(f.lu);
   ExecSchedule bad = f.fwd;
   if (!bad.wait_thread.empty()) {
